@@ -13,7 +13,6 @@ from .grid import (
 )
 from .state import (
     MacroMoments,
-    SpeciesField,
     SystemState,
     check_conservation,
     extract_moments,

@@ -182,7 +182,7 @@ class Recorder:
             d_k = 0.0
         n_p, n_i = projection_split_norms(state)
         pos = positivity_monitor(state)
-        if state is self._prev:
+        if state.time == self._prev_time:
             bal = (0.0, 0.0)
         else:
             dt = state.time - self._prev_time
@@ -345,7 +345,6 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
         eks.append(weights.functional_E_k(s, spec))
 
     snap(state)
-    recs = []
 
     def sink(s, info):
         if info.step % cadence == 0:
@@ -388,8 +387,6 @@ def summary_to_json(path, payload):
             return obj.tolist()
         if hasattr(obj, "__dict__"):
             return obj.__dict__
-        if isinstance(obj, DecayFit):
-            return vars(obj)
         raise TypeError(f"not JSON serializable: {type(obj)}")
 
     with open(path, "w") as fh:

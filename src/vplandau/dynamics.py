@@ -28,7 +28,7 @@ import scipy.fft as sfft
 from . import landau
 from .errors import PicardConvergenceError
 from .grid import l2_norm, v_derivative_trailing
-from .state import SystemState, maxwellian
+from .state import maxwellian
 
 
 @dataclass
@@ -152,32 +152,6 @@ def _linearized_field_step(state, dt):
         va = g.velocity.coordinate(a)
         src = src + grad_phi[a][(...,) + (None, None, None)] * (va * mu)
     return state.with_fields(state.f_plus - dt * src, state.f_minus + dt * src)
-
-
-def _collision_rhs(state_like, tables, cfg, corrector):
-    grid, fp, fm = state_like
-    if cfg.linearized:
-        rp, rm = landau.apply_linearized_collision(fp, fm, tables,
-                                                   workers=cfg.workers)
-        if cfg.conservative_correction:
-            rp, rm = corrector.apply(rp, rm)
-        return rp, rm
-    mu = maxwellian(grid.velocity)
-    s = fp + fm
-    phi_s, der_s = landau.convolve_tables(tables, s, cfg.workers)
-    phi_m, der_m = landau.mu_convolutions(tables)
-    q_s_mu = landau.q_from_convolutions(tables, phi_s, der_s, mu,
-                                        df=landau.mu_derivatives(tables))
-    phi_tot = [2.0 * a + b for a, b in zip(phi_m, phi_s)]
-    der_tot = [2.0 * a + b for a, b in zip(der_m, der_s)]
-    pair = np.stack([fp, fm])
-    q_pair = landau.q_from_convolutions(
-        tables, [a[None] for a in phi_tot], [a[None] for a in der_tot], pair)
-    rp = q_s_mu + q_pair[0]
-    rm = q_s_mu + q_pair[1]
-    if cfg.conservative_correction:
-        rp, rm = corrector.apply(rp, rm)
-    return rp, rm
 
 
 def _rk4_pair(rhs, fp, fm, dt):
@@ -307,73 +281,51 @@ def collision_spectral_radius(tables):
 def collision_step(state, dt, cfg, tables, corrector=None):
     """Collision substep; returns (state, picard_iterations, ratios).
 
-    ``strang_rk4`` applies classical RK4 to the full collision right-hand
-    side (conditionally stable: ``dt * rho <= 2.78`` with ``rho`` the
-    collision spectral radius).  ``picard_implicit`` iterates the
-    frozen-coefficient linear problem of the approximation scheme; because
-    the frozen problem is linear and autonomous, it is integrated with a
-    stabilized Chebyshev step whose stage count covers ``dt * rho``, so the
-    step size is unconstrained by collision stiffness.
+    Every right-hand side comes from :func:`landau.frozen_collision`; the
+    step makes two choices:
+
+    * the integrator: classical RK4 (conditionally stable: ``dt * rho <=
+      2.78`` with ``rho`` the collision spectral radius), or, for
+      ``picard_implicit`` with ``dt * rho > 2.5``, a stabilized Chebyshev
+      step whose stage count covers ``dt * rho``, so the step size is
+      unconstrained by collision stiffness;
+    * what the first collision argument is frozen at: ``f+ + f-`` of each
+      stage (``strang_rk4``, and every linearized run, whose operator is
+      itself the frozen problem), or the previous iterate of the Picard
+      iteration of the approximation scheme (nonlinear ``picard_implicit``).
     """
-    g = state.grid
-    if corrector is None:
-        corrector = landau.ConservativeCorrector(g.velocity)
-    if cfg.scheme == "strang_rk4" and not cfg.linearized:
-        def rhs(fp, fm):
-            return _collision_rhs((g, fp, fm), tables, cfg, corrector)
+    if not cfg.conservative_correction:
+        corrector = None
+    elif corrector is None:
+        corrector = landau.ConservativeCorrector(state.grid.velocity)
+    stages = 0
+    if cfg.scheme == "picard_implicit":
+        rho = collision_spectral_radius(tables) * 1.25
+        if dt * rho > 2.5:
+            stages = rkc_stages_for(dt, rho)
 
-        new_p, new_m = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
-        return state.with_fields(new_p, new_m), 0, ()
+    def frozen(s):
+        return landau.frozen_collision(tables, s, cfg.linearized, corrector,
+                                       cfg.workers)
 
-    rho = collision_spectral_radius(tables) * 1.25
-    use_rkc = dt * rho > 2.5
+    def integrate(rhs):
+        if stages:
+            return rkc_step_pair(rhs, state.f_plus, state.f_minus, dt, stages)
+        return _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
 
-    if cfg.linearized:
-        # the linearized operator is itself the frozen problem: one solve
-        def rhs(fp, fm):
-            return _collision_rhs((g, fp, fm), tables, cfg, corrector)
-
-        if cfg.scheme == "strang_rk4" or not use_rkc:
-            new_p, new_m = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
-        else:
-            s = rkc_stages_for(dt, rho)
-            new_p, new_m = rkc_step_pair(rhs, state.f_plus, state.f_minus,
-                                         dt, s)
+    if cfg.scheme == "strang_rk4" or cfg.linearized:
+        new_p, new_m = integrate(lambda fp, fm: frozen(fp + fm)(fp, fm))
         return state.with_fields(new_p, new_m), 0, ()
 
     # Picard mode: solve d_tau u_pm = Q(S_g, mu) + Q(2 mu + S_g, u_pm) over
     # [0, dt] with the coefficient fields S_g frozen at the previous iterate,
     # iterating until successive solutions differ by less than picard_tol.
-    mu = maxwellian(g.velocity)
-    phi_m, der_m = landau.mu_convolutions(tables)
+    g = state.grid
     prev_p, prev_m = state.f_plus, state.f_minus
     prev_diff = None
     ratios = []
     for it in range(1, cfg.picard_max_iters + 1):
-        s_g = prev_p + prev_m
-        phi_s, der_s = landau.convolve_tables(tables, s_g, cfg.workers)
-        q_src = landau.q_from_convolutions(tables, phi_s, der_s, mu,
-                                           df=landau.mu_derivatives(tables))
-        phi_tot = [2.0 * a + b for a, b in zip(phi_m, phi_s)]
-        der_tot = [2.0 * a + b for a, b in zip(der_m, der_s)]
-
-        def rhs(fp, fm):
-            pair = np.stack([fp, fm])
-            q_pair = landau.q_from_convolutions(
-                tables, [a[None] for a in phi_tot],
-                [a[None] for a in der_tot], pair)
-            rp = q_src + q_pair[0]
-            rm = q_src + q_pair[1]
-            if cfg.conservative_correction:
-                rp, rm = corrector.apply(rp, rm)
-            return rp, rm
-
-        if use_rkc:
-            s = rkc_stages_for(dt, rho)
-            new_p, new_m = rkc_step_pair(rhs, state.f_plus, state.f_minus,
-                                         dt, s)
-        else:
-            new_p, new_m = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
+        new_p, new_m = integrate(frozen(prev_p + prev_m))
         diff = math.sqrt(
             l2_norm(g, new_p - prev_p) ** 2 + l2_norm(g, new_m - prev_m) ** 2
         )
@@ -440,12 +392,14 @@ def advance(state, t_final, cfg, tables=None, sink=None):
     Steps follow :func:`step_schedule`: step ``k`` of size ``cfg.dt`` ends at
     ``t0 + k * cfg.dt`` and the last step ends at ``t_final`` exactly, so a
     run resumed from a checkpoint with the same ``dt`` repeats the straight
-    run bit for bit.
+    run bit for bit.  ``tables`` (the run's kernel tables) may be omitted
+    only when ``cfg.collision_enabled`` is false.
     """
     if t_final <= state.time:
         raise ValueError("t_final must exceed the state's current time")
     if tables is None and cfg.collision_enabled:
-        tables = landau.build_kernel_tables(0.0, state.grid.velocity)
+        raise ValueError("advance needs kernel tables for the collision "
+                         "substep (landau.build_kernel_tables)")
     corrector = landau.ConservativeCorrector(state.grid.velocity)
     t0 = state.time
     n_whole, rem = step_schedule(t0, t_final, cfg.dt)

@@ -14,11 +14,15 @@ origin regularization; they differ in how the convolution sums are computed:
 * oracle: dense O(N^2) summation over node pairs (no FFT machinery at all).
 
 Kernels are sampled on the difference lattice covering ``[-2L, 2L)``; for
-``gamma < 0`` the singular node at ``u = 0`` is replaced by the analytic
-average of the kernel over the ball of radius ``h/2`` (``|u|^gamma`` is
-locally integrable for ``gamma > -3``; at ``gamma = -3`` the projector keeps
-``phi^{ij} = |u|^{-1} x bounded``).  The odd derivative kernels vanish at the
-origin by symmetry.
+``gamma < 0`` the weights near the singular origin are calibrated so the
+lattice sums reproduce closed-form Gaussian moments (:func:`_calibration`).
+The odd derivative kernels vanish at the origin by symmetry.
+
+The collision right-hand side of the perturbation system,
+``Q(S, mu) + Q(2 mu + S, f_pm)`` with ``S = f+ + f-``, is assembled only in
+:func:`frozen_collision`, which freezes the first argument at a given ``S``;
+:func:`apply_collision_field`, :func:`apply_linearized_collision` and the
+collision substeps of :mod:`vplandau.dynamics` all go through it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
-from .grid import l2_norm, v_derivative_trailing
+from .grid import v_derivative_trailing
 from .state import maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -75,16 +79,6 @@ def _base_kernel_components(gamma, u1, u2, u3, origin_diag):
         comp = np.where(at_origin, 0.0, comp)
         derivs.append(comp)
     return phis, derivs
-
-
-def _ball_average_diag(gamma, radius):
-    """Analytic average of the diagonal phi components over a radius-r ball.
-
-    Angular average of the projector is (2/3) delta_ij; the radial average of
-    |u|^{gamma+2} over the ball is 3 r^{gamma+2} / (gamma + 5), integrable for
-    gamma > -5.
-    """
-    return 2.0 * radius ** (gamma + 2.0) / (gamma + 5.0)
 
 
 _calibration_cache = {}
@@ -253,9 +247,7 @@ def _kernel_components(gamma, u1, u2, u3, velocity_grid):
 
     For ``gamma >= 0`` the kernels are continuous (value 0 at the origin by
     the limit) and need no correction.  For ``gamma < 0`` the calibrated
-    corrections of :func:`_calibration` are applied near the origin; the
-    plain ball average ``2 r^{gamma+2}/(gamma+5)`` at ``r = h/2`` remains
-    available through :func:`_ball_average_diag` for comparison.
+    corrections of :func:`_calibration` are applied near the origin.
     """
     h = velocity_grid.spacing
     if gamma >= 0:
@@ -588,51 +580,61 @@ def mu_convolutions(tables):
     return tables._mu_conv
 
 
+def frozen_collision(tables, s, linearized=False, corrector=None,
+                     workers=None):
+    """Collision right-hand side with its first argument frozen at ``s``.
+
+    Convolves ``s`` once and returns the closure
+    ``rhs(f+, f-) = Q(s, mu) + Q(2 mu + s, f_pm)`` (the convolution is linear
+    in its first argument, and the Maxwellian convolutions are cached).  With
+    ``linearized=True`` the closure is ``Q(s, mu) + Q(2 mu, f_pm)``, the
+    linearized operator when ``s = f+ + f-``.  A ``corrector`` is applied to
+    every output.  This is the only place the collision right-hand side is
+    assembled.
+    """
+    mu = maxwellian(tables.velocity_grid)
+    phi_s, der_s = convolve_tables(tables, s, workers)
+    q_s_mu = q_from_convolutions(tables, phi_s, der_s, mu,
+                                 df=mu_derivatives(tables))
+    # convolutions of the first argument of Q(., f_pm): 2 mu + s, or 2 mu
+    phi_m, der_m = mu_convolutions(tables)
+    phi_tot = [(2.0 * m if linearized else 2.0 * m + c)[None]
+               for m, c in zip(phi_m, phi_s)]
+    der_tot = [(2.0 * m if linearized else 2.0 * m + c)[None]
+               for m, c in zip(der_m, der_s)]
+
+    def rhs(f_plus, f_minus):
+        q_pair = q_from_convolutions(tables, phi_tot, der_tot,
+                                     np.stack([f_plus, f_minus]))
+        rp, rm = q_s_mu + q_pair[0], q_s_mu + q_pair[1]
+        if corrector is not None:
+            rp, rm = corrector.apply(rp, rm)
+        return rp, rm
+
+    return rhs
+
+
 def apply_collision_field(state, tables, conservative=True, corrector=None,
                           workers=None):
     """Collision right-hand side of the perturbation system for both species.
 
-    Evaluates, at every spatial node,
-    ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` using a single set of
-    convolutions of ``S = f+ + f-`` (the convolution is linear in its first
-    argument, and the Maxwellian convolutions are cached).  With
+    ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` at every spatial node.  With
     ``conservative=True`` the moment-matched correction is applied so the
     discrete invariants of the assembled output vanish exactly.
     """
-    g = state.grid
-    if tables.velocity_grid.shape != g.velocity.shape:
+    if tables.velocity_grid.shape != state.grid.velocity.shape:
         raise GridMismatchError("tables built for a different velocity grid")
-    mu = maxwellian(g.velocity)
-    s = state.f_plus + state.f_minus
-    phi_s, der_s = convolve_tables(tables, s, workers)
-    phi_m, der_m = mu_convolutions(tables)
-    q_s_mu = q_from_convolutions(tables, phi_s, der_s, mu,
-                                 df=mu_derivatives(tables))
-    phi_tot = [2.0 * pm + ps for pm, ps in zip(phi_m, phi_s)]
-    der_tot = [2.0 * dm + ds for dm, ds in zip(der_m, der_s)]
-    pair = np.stack([state.f_plus, state.f_minus])
-    q_pair = q_from_convolutions(
-        tables, [p[None] for p in phi_tot], [d[None] for d in der_tot], pair)
-    rhs_plus = q_s_mu + q_pair[0]
-    rhs_minus = q_s_mu + q_pair[1]
-    if conservative:
-        if corrector is None:
-            corrector = ConservativeCorrector(g.velocity)
-        rhs_plus, rhs_minus = corrector.apply(rhs_plus, rhs_minus)
-    return rhs_plus, rhs_minus
+    if not conservative:
+        corrector = None
+    elif corrector is None:
+        corrector = ConservativeCorrector(state.grid.velocity)
+    rhs = frozen_collision(tables, state.f_plus + state.f_minus,
+                           corrector=corrector, workers=workers)
+    return rhs(state.f_plus, state.f_minus)
 
 
 def apply_linearized_collision(f_plus, f_minus, tables, workers=None):
     """Linearized collision operator L f = Q(f+ + f-, mu) + 2 Q(mu, f_pm)."""
-    mu = maxwellian(tables.velocity_grid)
-    s = f_plus + f_minus
-    phi_s, der_s = convolve_tables(tables, s, workers)
-    phi_m, der_m = mu_convolutions(tables)
-    q_s_mu = q_from_convolutions(tables, phi_s, der_s, mu,
-                                 df=mu_derivatives(tables))
-    pair = np.stack([f_plus, f_minus])
-    q_pair = q_from_convolutions(
-        tables, [2.0 * pm[None] for pm in phi_m],
-        [2.0 * dm[None] for dm in der_m], pair)
-    return q_s_mu + q_pair[0], q_s_mu + q_pair[1]
-
+    rhs = frozen_collision(tables, f_plus + f_minus, linearized=True,
+                           workers=workers)
+    return rhs(f_plus, f_minus)

@@ -19,9 +19,7 @@ from . import poisson
 from .grid import (
     PhaseGrid,
     SpatialGrid,
-    SpectralField,
     VelocityGrid,
-    forward_transform,
     integrate_v,
     integrate_x,
     l2_norm,
@@ -33,18 +31,6 @@ _CHECKPOINT_FORMAT = 1
 def maxwellian(velocity_grid):
     """The reference Maxwellian sampled on the velocity nodes."""
     return (2.0 * math.pi) ** (-1.5) * np.exp(-0.5 * velocity_grid.speed_squared())
-
-
-@dataclass
-class SpeciesField:
-    """One species' perturbation as a labelled spectral field."""
-
-    label: str  # 'plus' or 'minus'
-    data: SpectralField
-
-    def __post_init__(self):
-        if self.label not in ("plus", "minus"):
-            raise ValueError(f"label must be 'plus' or 'minus', got {self.label!r}")
 
 
 class SystemState:
@@ -68,10 +54,6 @@ class SystemState:
     def zero(cls, grid, time=0.0):
         z = np.zeros(grid.shape)
         return cls(grid, z, z.copy(), time)
-
-    def species(self, label):
-        arr = self.f_plus if label == "plus" else self.f_minus
-        return SpeciesField(label, SpectralField(self.grid, arr))
 
     def charge_density(self):
         return integrate_v(self.grid, self.f_plus - self.f_minus)
@@ -287,9 +269,9 @@ def check_conservation(state, reference):
 def save_checkpoint(path, state):
     """Self-describing binary checkpoint with bit-exact round trip.
 
-    The real-space species arrays are the canonical payload (so reloading
-    reproduces the state bit for bit); the spectral coefficients and the
-    potential are stored alongside for self-description.
+    Stores the grid ``header``, the ``time`` and the real-space species
+    arrays ``f_plus`` and ``f_minus``; reloading reproduces the state bit for
+    bit, and the potential is recomputed from the charge density.
     """
     g = state.grid
     header = {
@@ -306,9 +288,6 @@ def save_checkpoint(path, state):
         time=np.float64(state.time),
         f_plus=state.f_plus,
         f_minus=state.f_minus,
-        phi=state.phi,
-        f_plus_hat=forward_transform(g, state.f_plus),
-        f_minus_hat=forward_transform(g, state.f_minus),
     )
 
 

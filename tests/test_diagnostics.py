@@ -1,6 +1,7 @@
 """Diagnostics: decay fits, balance residuals, positivity, recorder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,3 +165,15 @@ class TestRecorder:
         data = read_series_csv(path)
         assert np.array_equal(data["time"], times)
         assert np.array_equal(data["e_k"], rec.series("e_k"))
+
+    def test_same_time_record_has_zero_balance(self, small_grid):
+        spec = weights.WeightSpec("landau", -3.0, 10.0)
+        st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
+        rec = Recorder(spec, st.clone(), compute_d_k=False)
+        moved = transport_step(st, 0.01)
+        rec.record_state(moved)
+        assert rec.records[-1].balance_plus > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = rec.record_state(moved.clone())
+        assert again.balance_plus == 0.0 and again.balance_minus == 0.0

@@ -194,6 +194,11 @@ class TestAdvance:
         exact = 1e-3 * np.cos(x - v1 * 1.0) * mu
         assert np.max(np.abs(out.f_plus - exact)) <= 1e-10
 
+    def test_collision_needs_tables(self, small_grid):
+        st = single_mode_state(small_grid)
+        with pytest.raises(ValueError, match="kernel tables"):
+            advance(st, 0.1, TimeStepConfig(dt=0.05))
+
     def test_zero_stays_zero(self, small_grid):
         tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
                                             measure=False)

@@ -10,6 +10,7 @@ from vplandau.grid import VelocityGrid, PhaseGrid, SpatialGrid, integrate_v
 from vplandau.landau import (
     ConservativeCorrector,
     apply_collision_field,
+    apply_linearized_collision,
     build_kernel_tables,
     q_landau_direct,
     q_landau_fft,
@@ -243,3 +244,24 @@ class TestCollisionField:
         scale = eps * vnorm(ve, mu)
         # RHS is a bilinear combination ~ 4 eps Q-type terms of size eps_op
         assert vnorm(ve, rp[0]) <= 10.0 * tables.epsilon_op * scale
+
+
+class TestLinearizedCollision:
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0])
+    def test_full_minus_linearized_is_quadratic_part(self, rng, small_grid,
+                                                     gamma):
+        # [Q(S, mu) + Q(2 mu + S, f)] - [Q(S, mu) + Q(2 mu, f)] = Q(S, f)
+        ve = small_grid.velocity
+        mu = maxwellian(ve)
+        x = small_grid.spatial.coordinate(0)[:, None, None, None]
+        fp = 1e-2 * np.cos(x) * random_bandlimited_v(rng, ve) * mu
+        fm = 1e-2 * np.sin(x) * random_bandlimited_v(rng, ve) * mu
+        state = SystemState(small_grid, fp, fm)
+        tables = build_kernel_tables(gamma, ve, measure=False)
+        full = apply_collision_field(state, tables, conservative=False)
+        lin = apply_linearized_collision(fp, fm, tables)
+        for f, r_full, r_lin in zip((fp, fm), full, lin):
+            quad = q_landau_fft(fp + fm, f, tables)
+            scale = np.linalg.norm(r_full)
+            assert np.linalg.norm(quad) > 1e-6 * scale
+            assert np.linalg.norm(r_full - r_lin - quad) <= 1e-12 * scale

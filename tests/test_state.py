@@ -213,3 +213,5 @@ class TestCheckpoint:
         assert np.array_equal(back.f_minus, st.f_minus)
         assert np.array_equal(back.phi, st.phi)
         assert back.grid.shape == st.grid.shape
+        with np.load(path) as data:
+            assert set(data.files) == {"header", "time", "f_plus", "f_minus"}
