@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid
@@ -21,8 +21,7 @@ from .weights import WeightSpec
 K0 = {"landau": 10.0, "boltzmann": 17.0}
 
 _DEFAULTS = {
-    "model": {"model": "landau", "gamma": "-3.0", "s": "", "k": "10.0",
-              "l": "0.0"},
+    "model": {"model": "landau", "gamma": "-3.0", "s": "", "k": "10.0"},
     "grid": {"dim_x": "1", "n_x": "16", "n_v": "16", "cutoff": "8.0"},
     "time": {"dt": "0.01", "t_final": "1.0", "scheme": "strang_rk4",
              "picard_tol": "1e-10", "picard_max_iters": "25"},
@@ -39,36 +38,35 @@ _DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    model: str = "landau"
-    gamma: float = -3.0
-    s: float | None = None
-    k: float = 10.0
-    l: float = 0.0
-    dim_x: int = 1
-    n_x: int = 16
-    n_v: int = 16
-    cutoff: float = 8.0
-    dt: float = 0.01
-    t_final: float = 1.0
-    scheme: str = "strang_rk4"
-    picard_tol: float = 1e-10
-    picard_max_iters: int = 25
-    family: str = "single_mode"
-    amplitude: float = 1e-3
-    modes: tuple = (1,)
-    profile: str = "maxwellian"
-    tail_power: float = 4.0
-    species: str = "opposite"
-    seed: int = 1234
-    directory: str = "out"
-    csv: str = "series.csv"
-    summary: str = "summary.json"
-    checkpoint_every: int = 0
-    record_every: int = 1
-    conservative_correction: bool = True
-    mode: str = "nonlinear"
-    fit_mode: str = "auto"
-    transient_fraction: float = 0.1
+    model: str
+    gamma: float
+    s: float | None
+    k: float
+    dim_x: int
+    n_x: int
+    n_v: int
+    cutoff: float
+    dt: float
+    t_final: float
+    scheme: str
+    picard_tol: float
+    picard_max_iters: int
+    family: str
+    amplitude: float
+    modes: tuple
+    profile: str
+    tail_power: float
+    species: str
+    seed: int
+    directory: str
+    csv: str
+    summary: str
+    checkpoint_every: int
+    record_every: int
+    conservative_correction: bool
+    mode: str
+    fit_mode: str
+    transient_fraction: float
     workers: int | None = None
 
     def phase_grid(self):
@@ -81,10 +79,7 @@ class RunConfig:
 
     def echo(self):
         """Flat key=value view of the effective configuration."""
-        out = {}
-        for key, val in vars(self).items():
-            out[key] = val
-        return out
+        return dict(vars(self))
 
 
 def _parse_bool(text, key, violations):
@@ -143,7 +138,6 @@ def parse_config(text, overrides=None):
     gamma = get_float("model", "gamma")
     s = get_float("model", "s", allow_empty=True)
     k = get_float("model", "k")
-    l = get_float("model", "l")
 
     if gamma is not None:
         if model == "landau" and not (-3.0 <= gamma <= 1.0):
@@ -235,7 +229,7 @@ def parse_config(text, overrides=None):
             workers = None
 
     return RunConfig(
-        model=model, gamma=gamma, s=s, k=k, l=l,
+        model=model, gamma=gamma, s=s, k=k,
         dim_x=dim_x, n_x=n_x, n_v=n_v, cutoff=cutoff,
         dt=dt, t_final=t_final, scheme=scheme, picard_tol=picard_tol,
         picard_max_iters=picard_max_iters,

@@ -21,17 +21,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import weights
 from .errors import FitError
-from .grid import l2_norm, spectral_derivative
+from .grid import axis_derivative, l2_norm
 from .state import (
     ConservedQuantities,
     check_conservation,
-    extract_moments,
     integrate_v,
     maxwellian,
     project_P,
@@ -122,22 +121,9 @@ def moment_balance_residual(state_prev, state_next, dt):
         for axis in range(g.dim_x):
             va = g.velocity.coordinate(axis)
             flux = integrate_v(g, va * half)
-            div += _spatial_derivative(g, flux, axis)
+            div += axis_derivative(g.spatial, flux, axis)
         out.append(l2_norm(g, dd + div, "x"))
     return tuple(out)
-
-
-def _spatial_derivative(grid, field_x, axis):
-    import scipy.fft as sfft
-
-    hat = sfft.fft(field_x, axis=axis, norm="forward")
-    k = grid.spatial.axis_wavenumbers()
-    mult = 1j * k
-    mult[grid.spatial.n_x // 2] = 0.0
-    shape = [1] * field_x.ndim
-    shape[axis] = k.size
-    hat *= mult.reshape(shape)
-    return sfft.ifft(hat, axis=axis, norm="forward").real
 
 
 def entropy(state):

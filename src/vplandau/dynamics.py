@@ -27,7 +27,7 @@ import scipy.fft as sfft
 
 from . import landau
 from .errors import PicardConvergenceError
-from .grid import l2_norm, v_derivative_trailing
+from .grid import along, l2_norm, v_derivative_trailing
 from .state import maxwellian
 
 
@@ -66,17 +66,20 @@ class StepInfo:
 # ---- substeps ----------------------------------------------------------------
 
 
+def _check_finite(substep, time, fields):
+    """Raise ``FloatingPointError`` naming the substep if it left inf/nan."""
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise FloatingPointError(
+            f"{substep} step produced non-finite values at t={time:.6g}")
+
+
 def transport_phase(grid, dt):
     """The exact free-streaming multiplier exp(-i xi . v dt)."""
     dot = np.zeros(grid.shape)
+    nd = grid.dim_x + 3
     for a in range(grid.dim_x):
-        xi = grid.spatial.axis_wavenumbers()
-        shape = [1] * (grid.dim_x + 3)
-        shape[a] = grid.spatial.n_x
-        va = grid.velocity.axis_nodes()
-        vshape = [1] * (grid.dim_x + 3)
-        vshape[grid.dim_x + a] = grid.velocity.n_v
-        dot = dot + xi.reshape(shape) * va.reshape(vshape)
+        xi = along(grid.spatial.axis_wavenumbers(), a, nd)
+        dot = dot + xi * along(grid.velocity.axis_nodes(), grid.dim_x + a, nd)
     return np.exp(-1j * dt * dot)
 
 
@@ -91,6 +94,7 @@ def transport_step(state, dt, phase=None):
         hat = sfft.fftn(f, axes=axes, norm="forward")
         hat *= phase
         out.append(sfft.ifftn(hat, axes=axes, norm="forward").real)
+    _check_finite("transport", state.time, out)
     return state.with_fields(out[0], out[1], time=state.time + dt)
 
 
@@ -107,6 +111,16 @@ def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source):
     return dp, dm
 
 
+def _field_source(grid, grad_phi):
+    """The source ``grad(phi) . v mu`` of the field substep."""
+    mu = maxwellian(grid.velocity)
+    src = np.zeros(grid.shape)
+    for a in range(grid.dim_x):
+        va = grid.velocity.coordinate(a)
+        src = src + grad_phi[a][(...,) + (None, None, None)] * (va * mu)
+    return src
+
+
 def field_step(state, dt, grad_phi=None, advance_time=False):
     """Frozen-potential Vlasov substep via classical RK4.
 
@@ -117,11 +131,7 @@ def field_step(state, dt, grad_phi=None, advance_time=False):
     g = state.grid
     if grad_phi is None:
         grad_phi = tuple(-e for e in state.e_field)
-    mu = maxwellian(g.velocity)
-    src = np.zeros(g.shape)
-    for a in range(g.dim_x):
-        va = g.velocity.coordinate(a)
-        src = src + grad_phi[a][(...,) + (None, None, None)] * (va * mu)
+    src = _field_source(g, grad_phi)
     fp, fm = state.f_plus, state.f_minus
     k1 = _field_rhs(g, grad_phi, fp, fm, src)
     k2 = _field_rhs(g, grad_phi, fp + 0.5 * dt * k1[0], fm + 0.5 * dt * k1[1], src)
@@ -129,11 +139,7 @@ def field_step(state, dt, grad_phi=None, advance_time=False):
     k4 = _field_rhs(g, grad_phi, fp + dt * k3[0], fm + dt * k3[1], src)
     new_p = fp + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     new_m = fm + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(new_p)) and np.all(np.isfinite(new_m))):
-        raise FloatingPointError(
-            f"field step produced non-finite values at t={state.time:.6g} "
-            f"(max |grad phi| = {max(np.max(np.abs(gp)) for gp in grad_phi):.3e})"
-        )
+    _check_finite("field", state.time, (new_p, new_m))
     return state.with_fields(new_p, new_m,
                              time=state.time + dt if advance_time else None)
 
@@ -144,14 +150,10 @@ def _linearized_field_step(state, dt):
     The source has zero velocity integral, so the density and the potential
     are unchanged during the substep and the update is exact.
     """
-    g = state.grid
-    grad_phi = tuple(-e for e in state.e_field)
-    mu = maxwellian(g.velocity)
-    src = np.zeros(g.shape)
-    for a in range(g.dim_x):
-        va = g.velocity.coordinate(a)
-        src = src + grad_phi[a][(...,) + (None, None, None)] * (va * mu)
-    return state.with_fields(state.f_plus - dt * src, state.f_minus + dt * src)
+    src = _field_source(state.grid, tuple(-e for e in state.e_field))
+    new_p, new_m = state.f_plus - dt * src, state.f_minus + dt * src
+    _check_finite("field", state.time, (new_p, new_m))
+    return state.with_fields(new_p, new_m)
 
 
 def _rk4_pair(rhs, fp, fm, dt):
@@ -310,8 +312,11 @@ def collision_step(state, dt, cfg, tables, corrector=None):
 
     def integrate(rhs):
         if stages:
-            return rkc_step_pair(rhs, state.f_plus, state.f_minus, dt, stages)
-        return _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
+            out = rkc_step_pair(rhs, state.f_plus, state.f_minus, dt, stages)
+        else:
+            out = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
+        _check_finite("collision", state.time, out)
+        return out
 
     if cfg.scheme == "strang_rk4" or cfg.linearized:
         new_p, new_m = integrate(lambda fp, fm: frozen(fp + fm)(fp, fm))

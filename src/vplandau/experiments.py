@@ -23,10 +23,10 @@ import os
 from dataclasses import asdict
 
 import numpy as np
-import scipy.fft as sfft
 
-from . import diagnostics, dynamics, initial, landau, poisson, weights
+from . import diagnostics, dynamics, initial, landau, weights
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid, l2_norm
+from .oracle import random_bandlimited_v
 from .state import SystemState, maxwellian, project_P, project_Pi, save_checkpoint
 
 SCHEMA_VERSION = 1
@@ -38,18 +38,6 @@ CORRECTED_MOMENT_TOL = 1e-12
 PROJECTION_TOL = 1e-11
 CONSERVATION_TOL = 1e-8
 LINEARIZED_DRIFT_TOL = 1e-9
-
-
-def _random_bandlimited_v(rng, velocity_grid, kmax=3, n_modes=30):
-    n = velocity_grid.n_v
-    c = np.zeros((n, n, n), dtype=complex)
-    for _ in range(n_modes):
-        m = rng.integers(-kmax, kmax + 1, size=3)
-        c[m[0] % n, m[1] % n, m[2] % n] += (rng.standard_normal()
-                                            + 1j * rng.standard_normal())
-    f = sfft.ifftn(c).real
-    peak = np.max(np.abs(f))
-    return f / (peak if peak > 0 else 1.0)
 
 
 def operator_test(cfg):
@@ -64,8 +52,8 @@ def operator_test(cfg):
         eps_ops[f"{gam:g}"] = tables.epsilon_op
         worst = 0.0
         for _ in range(5):
-            g = _random_bandlimited_v(rng, ve)
-            f = _random_bandlimited_v(rng, ve)
+            g = random_bandlimited_v(rng, ve)
+            f = random_bandlimited_v(rng, ve)
             qf = landau.q_landau_fft(g, f, tables)
             qd = landau.q_landau_direct(g, f, gam, ve)
             denom = math.sqrt(float(np.sum(qd**2)))
@@ -121,8 +109,8 @@ def operator_test(cfg):
     # collision invariants on random data at the configured gamma
     tables = landau.build_kernel_tables(cfg.gamma, ve, measure=False)
     corr = landau.ConservativeCorrector(ve)
-    g = _random_bandlimited_v(rng, ve)
-    f = _random_bandlimited_v(rng, ve)
+    g = random_bandlimited_v(rng, ve)
+    f = random_bandlimited_v(rng, ve)
     q = landau.q_landau_fft(g, f, tables)
     w = ve.node_weight
     norm_g = math.sqrt(float(np.sum(g**2)) * w)

@@ -11,6 +11,9 @@ Conventions used throughout the package:
   uniform points per axis and treated as a ``2L``-periodic torus for all
   spectral operations.  Velocity wavenumbers are ``(pi/L) * m`` for integer
   ``m`` in FFT layout.
+* Every spectral derivative -- phase-space, velocity-only, spatial, the
+  Poisson gradient and the weighted mixed derivatives -- multiplies by
+  :func:`derivative_multiplier`, the one place the Nyquist rule lives.
 * Phase-space arrays carry spatial axes first, velocity axes last:
   ``shape = (n_x,)*dim_x + (n_v, n_v, n_v)``.
 * Transform normalization is the ``norm="forward"`` DFT: the forward
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -79,9 +83,7 @@ class SpatialGrid:
 
     def coordinate(self, axis):
         """Node coordinates of spatial axis ``axis`` broadcast to x-shape."""
-        shape = [1] * self.dim_x
-        shape[axis] = self.n_x
-        return self.axis_nodes().reshape(shape)
+        return along(self.axis_nodes(), axis, self.dim_x)
 
     @property
     def shape(self):
@@ -122,11 +124,7 @@ class VelocityGrid:
 
     def coordinate(self, axis):
         """Node coordinates of velocity axis ``axis`` as a (n_v,n_v,n_v) view."""
-        shape = [1, 1, 1]
-        shape[axis] = self.n_v
-        return np.broadcast_to(
-            self.axis_nodes().reshape(shape), (self.n_v,) * 3
-        )
+        return np.broadcast_to(along(self.axis_nodes(), axis, 3), self.shape)
 
     def speed_squared(self):
         v = self.axis_nodes()
@@ -181,16 +179,9 @@ class PhaseGrid:
             return self.dim_x + j
         raise ValueError(f"unknown axis name {name!r}")
 
-    def wavenumbers(self, axis):
-        """Wavenumber array of a (flat) array axis, broadcast-ready."""
-        nd = self.dim_x + 3
-        if axis < self.dim_x:
-            k = self.spatial.axis_wavenumbers()
-        else:
-            k = self.velocity.axis_wavenumbers()
-        shape = [1] * nd
-        shape[axis] = k.size
-        return k.reshape(shape)
+    def axis_grid(self, axis):
+        """The spatial or velocity grid that a flat array axis samples."""
+        return self.spatial if axis < self.dim_x else self.velocity
 
     def check_shape(self, values, domain="xv"):
         expected = {
@@ -230,32 +221,56 @@ def inverse_transform(grid, coeffs, axes="xv", real=True):
     return out.real if real else out
 
 
+def along(k, axis, ndim):
+    """The 1-D array ``k`` reshaped to lie along ``axis`` of ``ndim`` axes."""
+    shape = [1] * ndim
+    shape[axis] = k.size
+    return k.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def derivative_multiplier(axis_grid, order):
+    """Read-only ``(i k)^order`` of a spatial or velocity grid's axis.
+
+    The Nyquist mode is zeroed for odd orders so that real fields map to
+    real fields; it is kept for the (real) second-order multiplier.
+    """
+    if order not in (1, 2):
+        raise UnsupportedOrderError(f"order must be 1 or 2, got {order}")
+    k = axis_grid.axis_wavenumbers()
+    mult = (1j * k) ** order
+    if order % 2 == 1:
+        mult[k.size // 2] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
+def wavenumber_squared(axis_grid, ndim=None):
+    """``|k|^2`` over every axis of ``axis_grid``, the last axes of ``ndim``."""
+    k = axis_grid.axis_wavenumbers()
+    n_axes = len(axis_grid.shape)
+    ndim = n_axes if ndim is None else ndim
+    return sum(along(k, ndim - n_axes + a, ndim) ** 2 for a in range(n_axes))
+
+
+def axis_derivative(axis_grid, values, axis, order=1):
+    """Spectral derivative along array ``axis``, sampled by ``axis_grid``."""
+    mult = derivative_multiplier(axis_grid, order)
+    hat = sfft.fft(values, axis=axis, norm="forward")
+    hat *= along(mult, axis, values.ndim)
+    out = sfft.ifft(hat, axis=axis, norm="forward")
+    return out.real if np.isrealobj(values) else out
+
+
 def spectral_derivative(grid, values, axis, order=1):
     """Spectral derivative along one axis of a phase-space field.
 
     ``axis`` may be an axis name ('x1', 'v2', ...) or a flat array axis.
-    Multiplies by ``(i k)^order`` in frequency; the Nyquist mode is zeroed
-    for odd orders so that real fields map to real fields.
     """
-    if order not in (1, 2):
-        raise UnsupportedOrderError(f"order must be 1 or 2, got {order}")
     if isinstance(axis, str):
         axis = grid.axis_index(axis)
     grid.check_shape(values, "xv")
-    hat = sfft.fft(values, axis=axis, norm="forward")
-    n = values.shape[axis]
-    if axis < grid.dim_x:
-        k = grid.spatial.axis_wavenumbers()
-    else:
-        k = grid.velocity.axis_wavenumbers()
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    hat *= mult.reshape(shape)
-    out = sfft.ifft(hat, axis=axis, norm="forward")
-    return out.real if np.isrealobj(values) else out
+    return axis_derivative(grid.axis_grid(axis), values, axis, order)
 
 
 def quadrature_integral(grid, values, domain="xv"):
@@ -311,18 +326,9 @@ def spectral_l2_norm(grid, coeffs, domain="xv"):
 def v_derivative_trailing(velocity_grid, values, axis):
     """Spectral d/dv_axis acting on the trailing three (velocity) axes.
 
-    Works for velocity-only fields and for phase-space fields alike; the
-    Nyquist mode is zeroed (first derivative).
+    Works for velocity-only fields and for phase-space fields alike.
     """
-    arr_axis = values.ndim - 3 + axis
-    hat = sfft.fft(values, axis=arr_axis, norm="forward")
-    k = velocity_grid.axis_wavenumbers()
-    mult = 1j * k
-    mult[velocity_grid.n_v // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[arr_axis] = velocity_grid.n_v
-    hat *= mult.reshape(shape)
-    return sfft.ifft(hat, axis=arr_axis, norm="forward").real
+    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis)
 
 
 # ---- spectral fields -----------------------------------------------------

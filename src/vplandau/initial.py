@@ -20,7 +20,7 @@ import numpy as np
 from . import poisson
 from .errors import InitialConditionError
 from .grid import integrate_v, integrate_x
-from .state import SystemState, maxwellian
+from .state import SystemState, kernel_pair_basis, maxwellian
 from .weights import bracket
 
 
@@ -77,20 +77,6 @@ def _spatial_pattern(grid, family, modes, rng):
     raise InitialConditionError(f"unknown family {family!r}")
 
 
-def _kernel_basis(grid):
-    """The six global kernel fields used by the conservation projection."""
-    ve = grid.velocity
-    mu = maxwellian(ve)
-    vs = [ve.coordinate(j) for j in range(3)]
-    # pair fields: (plus part, minus part)
-    basis = [(mu, np.zeros_like(mu)), (np.zeros_like(mu), mu)]
-    for j in range(3):
-        basis.append((vs[j] * mu, vs[j] * mu))
-    e = (ve.speed_squared() - 3.0) * mu
-    basis.append((e, e))
-    return basis
-
-
 def project_conservation(state):
     """Remove the global moments violating the conservation constraints.
 
@@ -115,7 +101,7 @@ def project_conservation(state):
         vals.append(integrate_x(g, integrate_v(g, sp2 * s)))
         return np.array(vals)
 
-    basis = _kernel_basis(g)
+    basis = kernel_pair_basis(ve)
     volx = g.spatial.volume
     # constraint matrix: functionals of each (x-homogeneous) basis pair
     mat = np.zeros((6, 6))

@@ -5,6 +5,8 @@ fast paths it validates: finite differences instead of spectral derivatives,
 re-sampled high-resolution quadrature instead of the production grid, and
 closed-form Gaussian moments.  Oracles accept analytically specified inputs
 (callables) wherever re-sampling is required, so interpolation never enters.
+The seeded random velocity fields of the operator checks are drawn here
+too, so the CLI's ``operator_test`` and the test suite share one generator.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import UnsupportedOrderError
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid, l2_norm
@@ -23,6 +26,23 @@ GAUSSIAN_EVEN_MOMENTS = (1.0, 3.0, 15.0, 105.0)
 def gaussian_even_moment(n):
     """Exact value of ``integral |v|^(2n) mu(v) dv`` for n in 0..3."""
     return GAUSSIAN_EVEN_MOMENTS[n]
+
+
+def random_bandlimited_v(rng, velocity_grid, kmax=3, n_modes=30):
+    """Random real trigonometric polynomial on the velocity box, peak 1.
+
+    ``n_modes`` complex coefficients at wavenumbers ``|m_j| <= kmax`` drawn
+    from ``rng``; the shared random input of the operator checks.
+    """
+    n = velocity_grid.n_v
+    c = np.zeros((n, n, n), dtype=complex)
+    for _ in range(n_modes):
+        m = rng.integers(-kmax, kmax + 1, size=3)
+        c[m[0] % n, m[1] % n, m[2] % n] += (rng.standard_normal()
+                                            + 1j * rng.standard_normal())
+    f = sfft.ifftn(c).real
+    peak = np.max(np.abs(f))
+    return f / (peak if peak > 0 else 1.0)
 
 
 def fd_derivative(fn, velocity_grid, axis, order=1, levels=3):

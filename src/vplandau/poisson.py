@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
+from .grid import along, derivative_multiplier, wavenumber_squared
+
 
 @dataclass
 class PoissonResult:
@@ -25,26 +27,15 @@ class PoissonResult:
     mean_projected: bool
 
 
-def _wavenumber_grids(spatial):
-    k = spatial.axis_wavenumbers()
-    out = []
-    for axis in range(spatial.dim_x):
-        shape = [1] * spatial.dim_x
-        shape[axis] = k.size
-        out.append(k.reshape(shape))
-    return out
-
-
 def solve_potential(spatial, rho, warn_mean_tol=1e-8):
     """Solve the zero-mean periodic Poisson problem for ``phi`` and ``E``.
 
     Returns a :class:`PoissonResult`.  ``phi_hat(xi) = rho_hat(xi)/|xi|^2``
     for ``xi != 0`` and ``phi_hat(0) = 0``; the solve is spectrally exact.
     """
-    spatial_shape = (spatial.n_x,) * spatial.dim_x
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != spatial_shape:
-        raise ValueError(f"rho shape {rho.shape} != spatial shape {spatial_shape}")
+    if rho.shape != spatial.shape:
+        raise ValueError(f"rho shape {rho.shape} != spatial shape {spatial.shape}")
     rho_hat = sfft.fftn(rho, norm="forward")
     mean = float(rho_hat[(0,) * spatial.dim_x].real)
     rho_scale = math.sqrt(float(np.sum(rho**2)) * spatial.cell_volume)
@@ -56,38 +47,28 @@ def solve_potential(spatial, rho, warn_mean_tol=1e-8):
             RuntimeWarning,
             stacklevel=2,
         )
-    ks = _wavenumber_grids(spatial)
-    k2 = sum(k**2 for k in ks)
+    k2 = wavenumber_squared(spatial)
     k2 = np.where(k2 == 0.0, 1.0, k2)
     phi_hat = rho_hat / k2
     phi_hat[(0,) * spatial.dim_x] = 0.0
     phi = sfft.ifftn(phi_hat, norm="forward").real
-    n = spatial.n_x
-    e_field = []
-    for axis, k in enumerate(ks):
-        g_hat = -1j * k * phi_hat
-        sl = [slice(None)] * spatial.dim_x
-        sl[axis] = n // 2
-        g_hat[tuple(sl)] = 0.0
-        e_field.append(sfft.ifftn(g_hat, norm="forward").real)
+    e_field = [-g for g in _gradient(spatial, phi_hat)]
     return PoissonResult(phi=phi, e_field=tuple(e_field), mean_charge=mean,
                          mean_projected=flagged)
+
+
+def _gradient(spatial, phi_hat):
+    """Spectral gradient, one array per axis, from the coefficients of phi."""
+    m1 = derivative_multiplier(spatial, 1)
+    return [sfft.ifftn(along(m1, axis, spatial.dim_x) * phi_hat,
+                       norm="forward").real
+            for axis in range(spatial.dim_x)]
 
 
 def grad(spatial, phi):
     """Spectral gradient of a spatial field, one array per axis."""
     phi_hat = sfft.fftn(np.asarray(phi, dtype=float), norm="forward")
-    out = []
-    n = spatial.n_x
-    for axis, k in enumerate(_wavenumber_grids(spatial)):
-        mult = 1j * k.copy()
-        # zero the Nyquist line for a first derivative
-        sl = [slice(None)] * spatial.dim_x
-        sl[axis] = n // 2
-        g_hat = mult * phi_hat
-        g_hat[tuple(sl)] = 0.0
-        out.append(sfft.ifftn(g_hat, norm="forward").real)
-    return out
+    return _gradient(spatial, phi_hat)
 
 
 def field_energy(spatial, phi):
@@ -100,8 +81,7 @@ def field_energy(spatial, phi):
 def residual(spatial, phi, rho):
     """L2 norm of ``-laplace(phi) - (rho - mean rho)`` (spectral Laplacian)."""
     phi_hat = sfft.fftn(np.asarray(phi, dtype=float), norm="forward")
-    k2 = sum(k**2 for k in _wavenumber_grids(spatial))
-    lap = sfft.ifftn(-k2 * phi_hat, norm="forward").real
+    lap = sfft.ifftn(-wavenumber_squared(spatial) * phi_hat, norm="forward").real
     rho0 = rho - float(np.mean(rho))
     r = -lap - rho0
     return math.sqrt(float(np.sum(r**2)) * spatial.cell_volume)

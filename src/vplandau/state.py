@@ -117,6 +117,21 @@ def assemble_kernel_field(grid, a, b, c):
     return out
 
 
+def kernel_pair_basis(velocity_grid):
+    """The six global kernel fields as (plus part, minus part) pairs.
+
+    ``(mu, 0)``, ``(0, mu)``, ``(v_j mu, v_j mu)`` for j = 1..3 and
+    ``(e, e)`` with ``e = (|v|^2 - 3) mu``: the basis of the initial
+    conservation projection and the synthesis fields of ``C_k``.
+    """
+    mu = maxwellian(velocity_grid)
+    zero = np.zeros_like(mu)
+    basis = [(mu, zero), (zero, mu)]
+    basis += [(velocity_grid.coordinate(j) * mu,) * 2 for j in range(3)]
+    e = (velocity_grid.speed_squared() - 3.0) * mu
+    return basis + [(e, e)]
+
+
 def project_P(state):
     """Projection onto the local kernel span per species; returns (P f+, P f-)."""
     m = extract_moments(state)
@@ -159,14 +174,10 @@ def projection_upper_constant(grid, k):
     ``Gamma`` that of the analysis functionals in ``L^2(<v>^{-2k})``.
     """
     ve = grid.velocity
-    mu = maxwellian(ve)
     vs = [ve.coordinate(j) for j in range(3)]
-    zero = np.zeros_like(mu)
-    e2 = (ve.speed_squared() - 3.0) * mu
-    synth = [(mu, zero), (zero, mu)]
-    synth += [(vs[j] * mu, vs[j] * mu) for j in range(3)]
-    synth += [(e2, e2)]
-    one = np.ones_like(mu)
+    synth = kernel_pair_basis(ve)
+    zero = np.zeros(ve.shape)
+    one = np.ones(ve.shape)
     ana = [(one, zero), (zero, one)]
     ana += [(0.5 * vs[j], 0.5 * vs[j]) for j in range(3)]
     ana += [((ve.speed_squared() - 3.0) / 12.0,) * 2]

@@ -30,9 +30,15 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ParameterError
-from .grid import forward_transform, l2_norm, v_derivative_trailing
+from .grid import (
+    along,
+    derivative_multiplier,
+    forward_transform,
+    l2_norm,
+    v_derivative_trailing,
+    wavenumber_squared,
+)
 from .poisson import grad
-from .state import maxwellian
 
 WEIGHT_MAX_ORDER = 2
 
@@ -283,29 +289,16 @@ def mixed_indices(dim_x, max_order=WEIGHT_MAX_ORDER):
 def mixed_derivatives(grid, values, indices):
     """Spectral ``d^alpha_beta`` for every index pair, from one forward FFT."""
     hat0 = forward_transform(grid, values)
-    mults = {}
     nd = grid.dim_x + 3
-    for axis in range(nd):
-        if axis < grid.dim_x:
-            k = grid.spatial.axis_wavenumbers()
-        else:
-            k = grid.velocity.axis_wavenumbers()
-        n = k.size
-        m1 = (1j * k).astype(complex)
-        m1[n // 2] = 0.0
-        m2 = (1j * k) ** 2
-        shape = [1] * nd
-        shape[axis] = n
-        mults[axis] = (m1.reshape(shape), m2.reshape(shape))
+    mults = {axis: [along(derivative_multiplier(grid.axis_grid(axis), o),
+                          axis, nd) for o in (1, 2)]
+             for axis in range(nd)}
     out = {}
     for al, be in indices:
         hat = hat0
-        for axis, o in enumerate(al):
+        for axis, o in enumerate(al + be):
             if o:
                 hat = hat * mults[axis][o - 1]
-        for j, o in enumerate(be):
-            if o:
-                hat = hat * mults[grid.dim_x + j][o - 1]
         out[(al, be)] = sfft.ifftn(hat, norm="forward").real
     return out
 
@@ -319,16 +312,13 @@ def norm_X_k(state, spec, ladder=None, phi_override=None):
     ladder = ladder or WeightLadderConstants()
     phi = state.phi if phi_override is None else phi_override
     indices = mixed_indices(g.dim_x)
-    br2 = 1.0 + g.velocity.speed_squared()
-    xpad = (...,) + (None, None, None)
     total = 0.0
     for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
         ders = mixed_derivatives(g, f, indices)
         for (al, be), der in ders.items():
             a, b = sum(al), sum(be)
             wf = weight_field(spec, g.velocity, a, b)
-            ew = np.exp(sign * weight_A(spec, a, b) *
-                        np.asarray(phi)[xpad] / br2)
+            ew = exp_weight_field(spec, g, a, b, phi, sign)
             total += ladder.value(a, b) * l2_norm(g, ew * wf * der) ** 2
     return total
 
@@ -375,13 +365,8 @@ def _boltzmann_Hs_surrogate_pair(state, spec):
     """
     g = state.grid
     wfield = bracket(g.velocity) ** (spec.k + 0.5 * spec.gamma)
-    eta = [g.velocity.axis_wavenumbers()] * 3
-    shapes = []
-    for j in range(3):
-        sh = [1] * (g.dim_x + 3)
-        sh[g.dim_x + j] = g.velocity.n_v
-        shapes.append(eta[j].reshape(sh))
-    mult2 = (1.0 + sum(e**2 for e in shapes)) ** spec.s
+    eta2 = wavenumber_squared(g.velocity, g.dim_x + 3)
+    mult2 = (1.0 + eta2) ** spec.s
     vol = g.spatial.volume * (2.0 * g.velocity.cutoff_L) ** 3
     total = 0.0
     for f in (state.f_plus, state.f_minus):
@@ -394,13 +379,7 @@ def h3_grad_norm_sq(spatial, phi):
     """``||grad phi||^2`` in H^3 of x via the multiplier sum_{j<=3} |xi|^{2j}."""
     g = grad(spatial, phi)
     total = 0.0
-    k = spatial.axis_wavenumbers()
-    ks = []
-    for axis in range(spatial.dim_x):
-        shape = [1] * spatial.dim_x
-        shape[axis] = k.size
-        ks.append(k.reshape(shape))
-    k2 = sum(kk**2 for kk in ks)
+    k2 = wavenumber_squared(spatial)
     mult = 1.0 + k2 + k2**2 + k2**3
     for comp in g:
         hat = sfft.fftn(comp, norm="forward")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid
+from vplandau.oracle import random_bandlimited_v  # noqa: F401 (re-exported)
 
 
 @pytest.fixture
@@ -26,18 +27,3 @@ def clean_grid():
 def small_grid():
     """Cheap grid for dynamics smoke tests."""
     return PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
-
-
-def random_bandlimited_v(rng, velocity_grid, kmax=3, n_modes=30):
-    """Random real trigonometric polynomial on the velocity box."""
-    import scipy.fft as sfft
-
-    n = velocity_grid.n_v
-    c = np.zeros((n, n, n), dtype=complex)
-    for _ in range(n_modes):
-        m = rng.integers(-kmax, kmax + 1, size=3)
-        c[m[0] % n, m[1] % n, m[2] % n] += (rng.standard_normal()
-                                            + 1j * rng.standard_normal())
-    f = sfft.ifftn(c).real
-    peak = np.max(np.abs(f))
-    return f / (peak if peak > 0 else 1.0)

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vplandau.config import load_config, parse_config
+from vplandau.config import _DEFAULTS, RunConfig, load_config, parse_config
 from vplandau.errors import ConfigError, InitialConditionError
 from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid, integrate_v
 from vplandau.initial import make_initial_condition
@@ -32,6 +33,13 @@ class TestParseConfig:
         echo = cfg.echo()
         assert echo["n_x"] == 16 and echo["dt"] == 0.01  # defaults filled
         assert cfg.phase_grid().velocity.n_v == 16
+
+    def test_fields_are_the_defaults_keys(self):
+        # _DEFAULTS is the one copy of the defaults; workers comes from the
+        # VPLANDAU_THREADS environment variable
+        keys = [key for section in _DEFAULTS.values() for key in section]
+        assert sorted(f.name for f in fields(RunConfig)) == sorted(
+            keys + ["workers"])
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ConfigError) as err:

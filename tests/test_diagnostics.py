@@ -89,6 +89,18 @@ class TestMomentBalance:
         assert r1 / r2 >= 3.5
         assert r2 <= 1e-6
 
+    def test_transport_residual_two_dimensional(self):
+        grid = PhaseGrid(SpatialGrid(2, 8), VelocityGrid(16, 8.0))
+        mu = maxwellian(grid.velocity)
+        # a plane wave along x1 - x2, so the two axes' flux terms differ
+        x = grid.spatial.coordinate(0) - grid.spatial.coordinate(1)
+        f = 1e-3 * np.cos(x)[..., None, None, None] * mu
+        st = SystemState(grid, f, -f)
+        r1, r2 = (max(moment_balance_residual(st, transport_step(st, dt), dt))
+                  for dt in (0.1, 0.05))
+        assert r1 / r2 >= 3.5
+        assert r2 <= 1e-6
+
     def test_full_run_residual_small(self, small_grid):
         tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
                                             measure=False)

@@ -125,6 +125,16 @@ class TestCollisionStep:
         out, _, _ = collision_step(st, 1e-2, cfg, tables)
         assert np.max(np.abs(out.f_plus)) == 0.0
 
+    def test_non_finite_names_collision_substep(self, small_grid):
+        tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
+                                            measure=False)
+        f = np.zeros(small_grid.shape)
+        f[0, 8, 8, 8] = np.inf
+        st = SystemState(small_grid, f, np.zeros(small_grid.shape), time=0.25)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"collision step .* at t=0\.25"):
+            collision_step(st, 1e-2, TimeStepConfig(dt=1e-2), tables)
+
     def test_rk4_self_convergence_order(self):
         # dt -> dt/2 halving: error ratio ~ 2^4 (Richardson against dt/4)
         grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(16, 8.0))

@@ -11,6 +11,7 @@ from vplandau.grid import (
     SpatialGrid,
     SpectralField,
     VelocityGrid,
+    derivative_multiplier,
     forward_transform,
     inverse_transform,
     l2_norm,
@@ -120,6 +121,36 @@ class TestDerivatives:
     def test_unsupported_order(self, desk_grid):
         with pytest.raises(UnsupportedOrderError):
             spectral_derivative(desk_grid, np.zeros(desk_grid.shape), "v1", 3)
+
+    def test_second_spatial_axis(self):
+        grid = PhaseGrid(SpatialGrid(2, 8), VelocityGrid(8, 8.0))
+        x2 = grid.spatial.coordinate(1)[..., None, None, None]
+        vals = np.broadcast_to(np.sin(2 * x2), grid.shape).copy()
+        d1 = spectral_derivative(grid, vals, "x2", 1)
+        d2 = spectral_derivative(grid, vals, "x2", 2)
+        assert np.max(np.abs(d1 - 2 * np.cos(2 * x2))) < 1e-12
+        assert np.max(np.abs(d2 + 4 * np.sin(2 * x2))) < 1e-12
+        assert np.max(np.abs(spectral_derivative(grid, vals, "x1", 1))) < 1e-14
+
+    @pytest.mark.parametrize("axis_grid", [SpatialGrid(2, 8),
+                                           VelocityGrid(8, 4.0)])
+    def test_multiplier_nyquist_rule(self, axis_grid):
+        k = axis_grid.axis_wavenumbers()
+        m1 = derivative_multiplier(axis_grid, 1)
+        m2 = derivative_multiplier(axis_grid, 2)
+        # odd order: the Nyquist alias is zeroed; even order: kept, -k^2
+        assert m1[4] == 0.0 and k[4] != 0.0
+        assert np.array_equal(np.delete(m1, 4), np.delete(1j * k, 4))
+        assert np.array_equal(m2, -k**2)
+        assert m2[4] == -k[4] ** 2 != 0.0
+
+    def test_multiplier_cached_read_only(self):
+        m = derivative_multiplier(VelocityGrid(8, 8.0), 1)
+        assert m is derivative_multiplier(VelocityGrid(8, 8.0), 1)
+        with pytest.raises(ValueError):
+            m[1] = 0.0
+        with pytest.raises(UnsupportedOrderError):
+            derivative_multiplier(VelocityGrid(8, 8.0), 3)
 
     def test_derivative_integrates_to_zero(self, desk_grid, rng):
         vals = rng.standard_normal(desk_grid.shape)
