@@ -265,7 +265,7 @@ def collision_spectral_radius(tables):
     stiffness (diffusion-like with coefficient growing as ``|v|^{gamma+2}``),
     so the estimate carries a safety margin when used for stage selection.
     """
-    if getattr(tables, "_rho_estimate", None) is None:
+    if tables._rho_estimate is None:
         rng = np.random.default_rng(1234)
         f = rng.standard_normal(tables.velocity_grid.shape)
         f /= np.linalg.norm(f)

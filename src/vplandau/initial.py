@@ -77,36 +77,36 @@ def _spatial_pattern(grid, family, modes, rng):
     raise InitialConditionError(f"unknown family {family!r}")
 
 
-def project_conservation(state):
-    """Remove the global moments violating the conservation constraints.
+def project_conservation(grid, f_plus, f_minus):
+    """Conservation-compatible state from raw perturbation fields.
 
     Subtracts an x-homogeneous kernel-pair field so that both species
     masses, the total momentum and the kinetic-plus-field energy of the
-    perturbation vanish on the grid.  The subtraction is constant in x, so
-    the zero-mean charge density and hence the potential are unchanged.
+    perturbation vanish on the grid.  The subtraction is constant in x and
+    changes only the mean of the charge density, so the field energy is that
+    of the potential of the charge density with its mean removed.
     """
-    g = state.grid
-    ve = g.velocity
+    ve = grid.velocity
     vs = [ve.coordinate(j) for j in range(3)]
     sp2 = ve.speed_squared()
 
     def functionals(fp, fm):
         vals = [
-            integrate_x(g, integrate_v(g, fp)),
-            integrate_x(g, integrate_v(g, fm)),
+            integrate_x(grid, integrate_v(grid, fp)),
+            integrate_x(grid, integrate_v(grid, fm)),
         ]
         s = fp + fm
         for j in range(3):
-            vals.append(integrate_x(g, integrate_v(g, vs[j] * s)))
-        vals.append(integrate_x(g, integrate_v(g, sp2 * s)))
+            vals.append(integrate_x(grid, integrate_v(grid, vs[j] * s)))
+        vals.append(integrate_x(grid, integrate_v(grid, sp2 * s)))
         return np.array(vals)
 
     basis = kernel_pair_basis(ve)
-    volx = g.spatial.volume
+    volx = grid.spatial.volume
     # constraint matrix: functionals of each (x-homogeneous) basis pair
     mat = np.zeros((6, 6))
     for col, (bp, bm) in enumerate(basis):
-        w = g.velocity.node_weight
+        w = grid.velocity.node_weight
         mass_p = float(np.sum(bp)) * w * volx
         mass_m = float(np.sum(bm)) * w * volx
         mat[0, col] = mass_p
@@ -114,12 +114,14 @@ def project_conservation(state):
         for j in range(3):
             mat[2 + j, col] = float(np.sum(vs[j] * (bp + bm))) * w * volx
         mat[5, col] = float(np.sum(sp2 * (bp + bm))) * w * volx
-    target = functionals(state.f_plus, state.f_minus)
-    target[5] += poisson.field_energy(g.spatial, state.phi)
+    rho = integrate_v(grid, f_plus - f_minus)
+    phi = poisson.solve_potential(grid.spatial, rho - np.mean(rho)).phi
+    target = functionals(f_plus, f_minus)
+    target[5] += poisson.field_energy(grid.spatial, phi)
     coef = np.linalg.solve(mat, target)
     corr_p = sum(c * bp for c, (bp, _) in zip(coef, basis))
     corr_m = sum(c * bm for c, (_, bm) in zip(coef, basis))
-    return state.with_fields(state.f_plus - corr_p, state.f_minus - corr_m)
+    return SystemState(grid, f_plus - corr_p, f_minus - corr_m)
 
 
 def make_initial_condition(grid, family="single_mode", amplitude=1e-3,
@@ -138,7 +140,7 @@ def make_initial_condition(grid, family="single_mode", amplitude=1e-3,
     for attempt in range(max_halvings + 1):
         f_plus = amp * pattern[xpad] * prof
         f_minus = sign_minus * amp * pattern[xpad] * prof
-        state = project_conservation(SystemState(grid, f_plus, f_minus))
+        state = project_conservation(grid, f_plus, f_minus)
         min_full = min(float(np.min(mu + state.f_plus)),
                        float(np.min(mu + state.f_minus)))
         if min_full > 0.0:

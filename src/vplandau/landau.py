@@ -10,7 +10,7 @@ where ``*`` is velocity convolution, ``phi^{ij}(u) = |u|^{gamma+2}
 velocity box.  Both evaluation paths share the sampled kernel tables and the
 origin regularization; they differ in how the convolution sums are computed:
 
-* fast path: zero-padded FFTs on the doubled box (no wrap-around aliasing),
+* fast path: pruned transforms on the doubled box (no wrap-around aliasing),
 * oracle: dense O(N^2) summation over node pairs (no FFT machinery at all).
 
 Kernels are sampled on the difference lattice covering ``[-2L, 2L)``; for
@@ -282,19 +282,19 @@ def _kernel_components(gamma, u1, u2, u3, velocity_grid):
 class LandauKernelTables:
     """Spectral tables of the truncated collision kernels for one grid.
 
-    ``phi_hat`` holds the padded-box FFTs of the six symmetric components of
-    phi^{ij} in the order (11, 22, 33, 12, 13, 23); ``deriv_hat`` the three
-    components of d_j phi^{ij} = -2 |u|^gamma u_i.  Tables are immutable
-    after construction and shareable across threads.
+    ``kernel_hat`` stacks the read-only padded-box real FFTs of phi^{ij} in
+    the order (11, 22, 33, 12, 13, 23), then of d_j phi^{ij} = -2 |u|^gamma
+    u_i.  Kernel data are immutable after construction and shareable across
+    threads; the underscored fields are lazy caches.
     """
 
     gamma: float
     velocity_grid: object
-    phi_hat: list
-    deriv_hat: list
+    kernel_hat: np.ndarray
     epsilon_op: float | None = None
     _mu_conv: tuple | None = field(default=None, repr=False)
     _mu_derivs: list | None = field(default=None, repr=False)
+    _rho_estimate: float | None = field(default=None, repr=False)
 
     def pair_index(self, i, j):
         key = (min(i, j), max(i, j))
@@ -337,10 +337,10 @@ def build_kernel_tables(gamma, velocity_grid, measure=True):
     u2 = off[None, :, None]
     u3 = off[None, None, :]
     phis, derivs = _kernel_components(gamma, u1, u2, u3, velocity_grid)
-    phi_hat = [sfft.rfftn(p) for p in phis]
-    deriv_hat = [sfft.rfftn(d) for d in derivs]
+    kernel_hat = sfft.rfftn(np.stack(phis + derivs), axes=(-3, -2, -1))
+    kernel_hat.flags.writeable = False
     tables = LandauKernelTables(gamma=gamma, velocity_grid=velocity_grid,
-                                phi_hat=phi_hat, deriv_hat=deriv_hat)
+                                kernel_hat=kernel_hat)
     if measure:
         tables.measure_epsilon_op()
     return tables
@@ -349,33 +349,31 @@ def build_kernel_tables(gamma, velocity_grid, measure=True):
 # ---- FFT convolution path --------------------------------------------------
 
 
-def _pad_forward(tables, g, workers=None):
-    """Real FFT of the zero-padded field(s); velocity axes are the trailing three."""
-    n = tables.velocity_grid.n_v
-    pad = [(0, 0)] * (g.ndim - 3) + [(0, n)] * 3
-    gp = np.pad(g, pad)
-    return sfft.rfftn(gp, axes=(-3, -2, -1), workers=workers)
-
-
 def convolve_tables(tables, g, workers=None):
-    """All nine kernel convolutions of ``g`` at once.
+    """All nine kernel convolutions of ``g``, by pruned transforms.
 
     ``g`` may carry leading (spatial) axes; the convolution acts on the
     trailing three velocity axes.  Returns (phi_conv, deriv_conv): lists of
     arrays shaped like ``g``, scaled by the quadrature weight so that each
-    entry approximates ``integral kernel(v - v') g(v') dv'``.  All nine
-    inverse transforms run in one batched real-FFT call.
+    entry approximates ``integral kernel(v - v') g(v') dv'``.  The
+    doubled-box transforms run axis by axis: forward, the padding is implicit
+    in the transform length, so all-zero lines are skipped; back, one kernel
+    at a time, each axis keeps its first ``n_v`` entries before the next.
     """
     n = tables.velocity_grid.n_v
     w = tables.velocity_grid.node_weight
     g = np.asarray(g, dtype=float)
-    ghat = _pad_forward(tables, g, workers)
-    kernels = tables.phi_hat + tables.deriv_hat
-    prods = np.stack([ghat * kh for kh in kernels])
-    full = sfft.irfftn(prods, s=(2 * n, 2 * n, 2 * n), axes=(-3, -2, -1),
-                       workers=workers)
-    sliced = full[(Ellipsis, slice(0, n), slice(0, n), slice(0, n))] * w
-    return list(sliced[:6]), list(sliced[6:])
+    ghat = sfft.rfft(g, n=2 * n, axis=-1, workers=workers)
+    ghat = sfft.fft(ghat, n=2 * n, axis=-2, workers=workers)
+    ghat = sfft.fft(ghat, n=2 * n, axis=-3, workers=workers)
+    out = np.empty((len(tables.kernel_hat),) + g.shape)
+    for kh, conv in zip(tables.kernel_hat, out):
+        p = sfft.ifft(ghat * kh, axis=-3, overwrite_x=True,
+                      workers=workers)[..., :n, :, :]
+        p = sfft.ifft(p, axis=-2, overwrite_x=True, workers=workers)[..., :n, :]
+        p = sfft.irfft(p, n=2 * n, axis=-1, workers=workers)[..., :n]
+        np.multiply(p, w, out=conv)
+    return list(out[:6]), list(out[6:])
 
 
 _v_derivative = v_derivative_trailing

@@ -1,6 +1,8 @@
 """Landau collision operator: kernels, FFT path, direct oracle, correction."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from vplandau.errors import CostGuardError, GridMismatchError, ParameterError
 from vplandau.grid import VelocityGrid, PhaseGrid, SpatialGrid, integrate_v
 from vplandau.landau import (
     ConservativeCorrector,
+    LandauKernelTables,
     apply_collision_field,
     apply_linearized_collision,
     build_kernel_tables,
+    convolve_tables,
     q_landau_direct,
     q_landau_fft,
 )
@@ -98,6 +102,79 @@ class TestKernelTables:
             eps[nv] = tables.epsilon_op
         assert eps[16] < 0.1
         assert eps[32] < eps[16] / 4.0
+
+
+    def test_kernel_data_read_only_and_caches_declared(self):
+        tables = build_kernel_tables(0.0, VelocityGrid(8, 6.0), measure=False)
+        assert tables.kernel_hat.shape == (9, 16, 16, 9)
+        assert not tables.kernel_hat.flags.writeable
+        with pytest.raises(ValueError):
+            tables.kernel_hat[0, 0, 0, 0] = 1.0
+        declared = {f.name for f in dataclasses.fields(LandauKernelTables)}
+        assert {"_mu_conv", "_mu_derivs", "_rho_estimate"} <= declared
+
+
+def padded_reference(tables, g):
+    """Nine convolutions by explicitly zero-padded full FFTs of the samples.
+
+    The centred ``(2n-1)^3`` kernel samples are wrapped onto the ``2n``
+    lattice (offset ``-n`` never reaches the kept corner and stays 0), the
+    field is padded to ``2n`` per axis, and the ``n^3`` corner of the
+    circular convolution is scaled by ``h^3``.
+    """
+    n = tables.velocity_grid.n_v
+    h = tables.velocity_grid.spacing
+    _, phis, derivs = tables.sampled_kernels()
+    wrapped = np.r_[0:n, n + 1:2 * n]   # lattice index of offsets 0.., -(n-1)..
+    centred = np.r_[n - 1:2 * n - 1, 0:n - 1]
+    pad = [(0, 0)] * (g.ndim - 3) + [(0, n)] * 3
+    g_hat = np.fft.rfftn(np.pad(g, pad), axes=(-3, -2, -1))
+    out = []
+    for k in phis + derivs:
+        kp = np.zeros((2 * n,) * 3)
+        kp[np.ix_(wrapped, wrapped, wrapped)] = k[np.ix_(centred, centred,
+                                                        centred)]
+        full = np.fft.irfftn(g_hat * np.fft.rfftn(kp), s=(2 * n,) * 3,
+                             axes=(-3, -2, -1))
+        out.append(full[..., :n, :n, :n] * h**3)
+    return out
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0])
+    @pytest.mark.parametrize("leading", [(), (2, 3)])
+    def test_matches_padded_reference(self, rng, gamma, leading):
+        ve = VelocityGrid(8, 6.0)
+        tables = build_kernel_tables(gamma, ve, measure=False)
+        g = rng.standard_normal(leading + ve.shape)
+        phi_conv, deriv_conv = convolve_tables(tables, g)
+        ref = padded_reference(tables, g)
+        for got, want in zip(phi_conv + deriv_conv, ref):
+            assert got.shape == g.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_workers_bit_identical(self, rng):
+        ve = VelocityGrid(16, 8.0)
+        tables = build_kernel_tables(-3.0, ve, measure=False)
+        g = rng.standard_normal((4,) + ve.shape)
+        one = convolve_tables(tables, g, workers=1)
+        two = convolve_tables(tables, g, workers=2)
+        for a, b in zip(one[0] + one[1], two[0] + two[1]):
+            assert np.array_equal(a, b)
+
+    def test_peak_memory_a_few_padded_products(self, rng):
+        ve = VelocityGrid(16, 8.0)
+        tables = build_kernel_tables(-3.0, ve, measure=False)
+        g = rng.standard_normal((4,) + ve.shape)
+        convolve_tables(tables, g)  # warm up
+        product_bytes = 4 * 32 * 32 * 17 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            convolve_tables(tables, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * product_bytes
 
 
 class TestQEvaluation:

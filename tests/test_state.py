@@ -1,11 +1,20 @@
 """Two-species state: Maxwellian, moments, projections, conservation, checkpoints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from vplandau.grid import integrate_v, integrate_x, l2_norm, truncation_tolerance
+from vplandau.grid import (
+    PhaseGrid,
+    SpatialGrid,
+    VelocityGrid,
+    integrate_v,
+    integrate_x,
+    l2_norm,
+    truncation_tolerance,
+)
 from vplandau.state import (
     SystemState,
     check_conservation,
@@ -199,6 +208,23 @@ class TestConservation:
         zero = SystemState.zero(desk_grid)
         rep = check_conservation(st, zero)
         assert rep.max_relative_drift() <= 1e-11
+
+    def test_neutral_data_sets_up_without_charge_warnings(self):
+        # criterion 7's data: neutral in x, but each unprojected attempt
+        # carries a charge the projection removes; only the positivity
+        # halvings may warn
+        from vplandau.initial import make_initial_condition
+
+        grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(16, 8.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            st = make_initial_condition(
+                grid, family="single_mode", amplitude=1e-3, modes=(0,),
+                profile="weighted_maxwellian", tail_power=4.0, seed=11)
+        messages = [str(w.message) for w in caught]
+        assert not [m for m in messages if "charge density" in m]
+        assert any("halving amplitude" in m for m in messages)
+        assert np.max(np.abs(st.charge_density())) <= 1e-17
 
 
 class TestCheckpoint:
