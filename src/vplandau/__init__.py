@@ -3,7 +3,6 @@
 from .grid import (
     PhaseGrid,
     SpatialGrid,
-    SpectralField,
     VelocityGrid,
     forward_transform,
     inverse_transform,

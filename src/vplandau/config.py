@@ -217,16 +217,19 @@ def parse_config(text, overrides=None):
         violations.append(f"flags.fit_mode: unknown value {fit_mode!r}")
     transient_fraction = get_float("flags", "transient_fraction")
 
-    if violations:
-        raise ConfigError(violations)
-
     workers = None
     env = os.environ.get("VPLANDAU_THREADS", "").strip()
     if env:
         try:
-            workers = max(1, int(env))
+            workers = int(env)
         except ValueError:
-            workers = None
+            workers = 0
+        if workers < 1:
+            violations.append(
+                f"VPLANDAU_THREADS: positive integer required, got {env!r}")
+
+    if violations:
+        raise ConfigError(violations)
 
     return RunConfig(
         model=model, gamma=gamma, s=s, k=k,

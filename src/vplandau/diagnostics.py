@@ -286,11 +286,8 @@ def fit_decay(times, values, mode, window=None, transient_fraction=0.1,
 
 @dataclass
 class LinearizedResult:
-    fit: DecayFit
     fit_exponential: DecayFit      # fits of the recorded microscopic energy
     fit_polynomial: DecayFit       # ||(I-P) f||^2 (the experiment's E)
-    ek_fit_exponential: DecayFit | None
-    ek_fit_polynomial: DecayFit | None
     times: np.ndarray
     micro_norms: np.ndarray  # ||(I-P) f||
     macro_norms: np.ndarray  # ||P f||
@@ -299,8 +296,7 @@ class LinearizedResult:
 
 
 def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
-                                fit_mode="exponential", cadence=1,
-                                transient_fraction=0.1,
+                                cadence=1, transient_fraction=0.1,
                                 conservative_correction=True,
                                 scheme="picard_implicit"):
     """Evolve the linearized system and fit the decay of its energy.
@@ -309,7 +305,8 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
     ``-+ grad(phi) . v mu`` and the linearized collision operator remain.
     Initial data is projected so that the global kernel component vanishes
     (``Pi f0 = 0``).  Returns fits of both envelopes (exponential and
-    algebraic) over the post-transient window plus the recorded series.
+    algebraic) of ``||(I-P) f||^2`` over the post-transient window plus the
+    recorded series, ``E_k`` included.
     """
     from . import dynamics
 
@@ -340,27 +337,16 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
     final = dynamics.advance(state, t_final, cfg, tables, sink=sink)
     report = check_conservation(final, state)
     t = np.array(times)
-    e_series = np.array(eks)
     micro_energy = np.array(micro) ** 2
     fit_exp = fit_decay(t, micro_energy, "exponential",
                         transient_fraction=transient_fraction)
     fit_poly = fit_decay(t, micro_energy, "polynomial",
                          transient_fraction=transient_fraction)
-    # the weighted E_k series is recorded as well; its fits are advisory
-    # (at desk scale the huge corner weights put a noise floor under it)
-    try:
-        ek_exp = fit_decay(t, e_series, "exponential",
-                           transient_fraction=transient_fraction)
-        ek_poly = fit_decay(t, e_series, "polynomial",
-                            transient_fraction=transient_fraction)
-    except FitError:
-        ek_exp = ek_poly = None
-    fit = fit_exp if fit_mode == "exponential" else fit_poly
     return LinearizedResult(
-        fit=fit, fit_exponential=fit_exp, fit_polynomial=fit_poly,
-        ek_fit_exponential=ek_exp, ek_fit_polynomial=ek_poly,
-        times=t, micro_norms=np.array(micro), macro_norms=np.array(macro),
-        e_k_series=e_series, conservation_max_drift=report.max_relative_drift())
+        fit_exponential=fit_exp, fit_polynomial=fit_poly, times=t,
+        micro_norms=np.array(micro), macro_norms=np.array(macro),
+        e_k_series=np.array(eks),
+        conservation_max_drift=report.max_relative_drift())
 
 
 def summary_to_json(path, payload):

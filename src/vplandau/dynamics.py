@@ -121,7 +121,7 @@ def _field_source(grid, grad_phi):
     return src
 
 
-def field_step(state, dt, grad_phi=None, advance_time=False):
+def field_step(state, dt, grad_phi=None):
     """Frozen-potential Vlasov substep via classical RK4.
 
     ``grad_phi`` (a tuple of spatial arrays) may be supplied to force an
@@ -140,8 +140,7 @@ def field_step(state, dt, grad_phi=None, advance_time=False):
     new_p = fp + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     new_m = fm + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     _check_finite("field", state.time, (new_p, new_m))
-    return state.with_fields(new_p, new_m,
-                             time=state.time + dt if advance_time else None)
+    return state.with_fields(new_p, new_m)
 
 
 def _linearized_field_step(state, dt):
@@ -345,15 +344,6 @@ def collision_step(state, dt, cfg, tables, corrector=None):
 
 
 # ---- driver -------------------------------------------------------------------
-
-
-def suggest_dt(state):
-    """Stability-guided step for the field-step RK4 (advisory)."""
-    eta_max = float(np.max(np.abs(state.grid.velocity.axis_wavenumbers())))
-    gp_max = max(float(np.max(np.abs(e))) for e in state.e_field)
-    if gp_max * eta_max == 0.0:
-        return math.inf
-    return 0.5 / (gp_max * eta_max)
 
 
 def cfl_advisory(state, dt):

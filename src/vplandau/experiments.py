@@ -2,7 +2,8 @@
 
 Three modes share the RunConfig surface:
 
-* ``operator_test``: collision FFT-vs-oracle agreement, the weight
+* ``operator_test``: the checks of :mod:`vplandau.verify`, composed:
+  collision FFT-vs-oracle agreement, the weight
   inequality suite (including the corrupted-r counterexample), the
   projection algebra suite and the collision invariant moments.  No time
   evolution; the instantaneous entropy production of a random positive
@@ -18,24 +19,19 @@ mode's built-in assertions.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict
 
 import numpy as np
 
-from . import diagnostics, dynamics, initial, landau, weights
-from .grid import PhaseGrid, SpatialGrid, VelocityGrid, l2_norm
-from .oracle import random_bandlimited_v
-from .state import SystemState, maxwellian, project_P, project_Pi, save_checkpoint
+from . import diagnostics, dynamics, initial, landau, verify
+from .grid import PhaseGrid, SpatialGrid, VelocityGrid
+from .state import maxwellian, save_checkpoint
 
 SCHEMA_VERSION = 1
 
-# thresholds enforced by the built-in assertions of each mode
-FFT_ORACLE_TOL = 1e-8
-MASS_MOMENT_TOL = 1e-12
-CORRECTED_MOMENT_TOL = 1e-12
-PROJECTION_TOL = 1e-11
+# thresholds of the nonlinear and linearized modes; the operator checks'
+# thresholds live in vplandau.verify
 CONSERVATION_TOL = 1e-8
 LINEARIZED_DRIFT_TOL = 1e-9
 
@@ -44,84 +40,31 @@ def operator_test(cfg):
     """Operator-level verification; returns (summary dict, passed bool)."""
     ve = VelocityGrid(cfg.n_v, cfg.cutoff)
     rng = np.random.default_rng(cfg.seed)
-    gammas = sorted({cfg.gamma, -3.0, -1.0, 0.0, 1.0})
-    pair_errors = {}
-    eps_ops = {}
-    for gam in gammas:
-        tables = landau.build_kernel_tables(gam, ve)
-        eps_ops[f"{gam:g}"] = tables.epsilon_op
-        worst = 0.0
-        for _ in range(5):
-            g = random_bandlimited_v(rng, ve)
-            f = random_bandlimited_v(rng, ve)
-            qf = landau.q_landau_fft(g, f, tables)
-            qd = landau.q_landau_direct(g, f, gam, ve)
-            denom = math.sqrt(float(np.sum(qd**2)))
-            if denom > 0:
-                err = math.sqrt(float(np.sum((qf - qd) ** 2))) / denom
-                worst = max(worst, err)
-        pair_errors[f"{gam:g}"] = worst
+    tables = {gam: landau.build_kernel_tables(gam, ve)
+              for gam in sorted({cfg.gamma, -3.0, -1.0, 0.0, 1.0})}
+    eps_ops = {f"{gam:g}": t.epsilon_op for gam, t in tables.items()}
+    pair_errors = {f"{gam:g}": verify.oracle_error(t, rng, 5)
+                   for gam, t in tables.items()}
     fft_oracle_max = max(pair_errors.values())
+    mass_moment = verify.mass_moment_error(tables[cfg.gamma], rng, 6)
 
     # weight suite at the configured spec plus the corrupted-r counterexample
     spec = cfg.weight_spec()
     pts = rng.uniform(-cfg.cutoff, cfg.cutoff, size=(1000, 3))
-    suite = weights.weight_inequality_suite(spec, pts)
-    n_checked = sum(r.n_checked for r in suite)
-    n_failed = sum(r.n_failed for r in suite)
-    corrupted = weights.weight_inequality_suite(spec, pts,
-                                                r_override=2.0 * spec.q)
-    corrupted_floor_failures = sum(
-        r.n_failed for r in corrupted if r.name.startswith("floor"))
+    n_checked, n_failed = verify.weight_suite_failures([spec], pts)
+    corrupted_floor_failures = verify.corrupted_floor_failures(spec, pts)
 
     # projection algebra on a truncation-clean grid
-    pg = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(32, 10.0))
-    mu = maxwellian(pg.velocity)
-    xpad = (...,) + (None, None, None)
-    defects = {"p_idempotent": 0.0, "pi_idempotent": 0.0, "pi_of_micro": 0.0}
-    for _ in range(3):
-        pattern = 1.0 + 0.5 * np.cos(pg.spatial.coordinate(0))
-        shape = rng.standard_normal(3)
-        fp = 1e-2 * pattern[xpad] * (
-            mu * (shape[0] + shape[1] * pg.velocity.coordinate(0)
-                  + shape[2] * pg.velocity.speed_squared()))
-        fm = 1e-2 * np.roll(pattern, 1)[xpad] * mu * rng.standard_normal()
-        st = SystemState(pg, fp, fm)
-        p1p, p1m = project_P(st)
-        st_p = st.with_fields(p1p, p1m)
-        p2p, p2m = project_P(st_p)
-        scale = max(l2_norm(pg, fp), l2_norm(pg, fm))
-        defects["p_idempotent"] = max(
-            defects["p_idempotent"],
-            max(l2_norm(pg, p2p - p1p), l2_norm(pg, p2m - p1m)) / scale)
-        q1p, q1m = project_Pi(st)
-        st_q = st.with_fields(q1p, q1m)
-        q2p, q2m = project_Pi(st_q)
-        defects["pi_idempotent"] = max(
-            defects["pi_idempotent"],
-            max(l2_norm(pg, q2p - q1p), l2_norm(pg, q2m - q1m)) / scale)
-        micro = st.with_fields(fp - p1p, fm - p1m)
-        rp, rm = project_Pi(micro)
-        defects["pi_of_micro"] = max(
-            defects["pi_of_micro"],
-            max(l2_norm(pg, rp), l2_norm(pg, rm)) / scale)
+    defects = verify.projection_defects(
+        PhaseGrid(SpatialGrid(1, 8), VelocityGrid(32, 10.0)), rng, 5)
 
-    # collision invariants on random data at the configured gamma
-    tables = landau.build_kernel_tables(cfg.gamma, ve, measure=False)
+    # conservative correction of the collision output at the configured gamma
     corr = landau.ConservativeCorrector(ve)
-    g = random_bandlimited_v(rng, ve)
-    f = random_bandlimited_v(rng, ve)
-    q = landau.q_landau_fft(g, f, tables)
-    w = ve.node_weight
-    norm_g = math.sqrt(float(np.sum(g**2)) * w)
-    norm_f = math.sqrt(float(np.sum(f**2)) * w)
-    mass_moment = abs(float(np.sum(q)) * w) / (norm_g * norm_f)
-    sgrid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(cfg.n_v, cfg.cutoff))
+    sgrid = PhaseGrid(SpatialGrid(1, 4), ve)
     ic = initial.make_initial_condition(sgrid, amplitude=1e-3, seed=cfg.seed)
-    rhs_p, rhs_m = landau.apply_collision_field(ic, tables, conservative=True,
-                                                corrector=corr)
-    mom = corr.moments(rhs_p) + corr.moments(rhs_m)
-    corrected_max = float(np.max(np.abs(mom[1:])))
+    rhs_p, rhs_m = landau.apply_collision_field(
+        ic, tables[cfg.gamma], conservative=True, corrector=corr)
+    corrected_max = verify.corrected_moment_error(corr, rhs_p, rhs_m)
 
     # instantaneous entropy production of a positive random state
     full_p = maxwellian(sgrid.velocity) + ic.f_plus
@@ -145,12 +88,12 @@ def operator_test(cfg):
         "config": cfg.echo(),
     }
     passed = (
-        fft_oracle_max <= FFT_ORACLE_TOL
+        fft_oracle_max <= verify.FFT_ORACLE_TOL
         and n_failed == 0
         and corrupted_floor_failures > 0
-        and max(defects.values()) <= PROJECTION_TOL
-        and mass_moment <= MASS_MOMENT_TOL
-        and corrected_max <= CORRECTED_MOMENT_TOL
+        and max(defects.values()) <= verify.PROJECTION_TOL
+        and mass_moment <= verify.MASS_MOMENT_TOL
+        and corrected_max <= verify.CORRECTED_MOMENT_TOL
     )
     summary["passed"] = passed
     return summary, passed
@@ -240,9 +183,7 @@ def linearized_run(cfg):
     tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
     state = _make_state(cfg, grid)
     result = diagnostics.linearized_decay_experiment(
-        state, tables, spec, cfg.dt, cfg.t_final,
-        fit_mode="exponential" if cfg.gamma >= 0 else "polynomial",
-        cadence=cfg.record_every,
+        state, tables, spec, cfg.dt, cfg.t_final, cadence=cfg.record_every,
         transient_fraction=cfg.transient_fraction,
         conservative_correction=cfg.conservative_correction)
     os.makedirs(cfg.directory, exist_ok=True)

@@ -331,50 +331,6 @@ def v_derivative_trailing(velocity_grid, values, axis):
     return axis_derivative(velocity_grid, values, values.ndim - 3 + axis)
 
 
-# ---- spectral fields -----------------------------------------------------
-
-
-class SpectralField:
-    """A real phase-space field with a cached spectral view.
-
-    The canonical representation is the real-space array; the coefficient
-    array is computed lazily and invalidated by :meth:`replace`.
-    """
-
-    __slots__ = ("grid", "values", "_coeffs")
-
-    def __init__(self, grid, values):
-        grid.check_shape(values, "xv")
-        self.grid = grid
-        self.values = np.asarray(values, dtype=np.float64)
-        self._coeffs = None
-
-    @property
-    def coefficients(self):
-        if self._coeffs is None:
-            self._coeffs = forward_transform(self.grid, self.values)
-        return self._coeffs
-
-    def replace(self, values):
-        return SpectralField(self.grid, values)
-
-    def copy(self):
-        return SpectralField(self.grid, self.values.copy())
-
-    def hermitian_defect(self):
-        """Max deviation of the coefficients from Hermitian symmetry."""
-        c = self.coefficients
-        # Hermitian partner of mode m is (-m) mod n along every axis.
-        idx = tuple(np.mod(-np.arange(n), n) for n in c.shape)
-        conj = np.conj(c[np.ix_(*idx)])
-        return float(np.max(np.abs(c - conj)))
-
-    def roundtrip_defect(self):
-        back = inverse_transform(self.grid, self.coefficients)
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        return float(np.max(np.abs(back - self.values))) / scale
-
-
 # ---- truncation / aliasing tolerance -------------------------------------
 
 

@@ -427,8 +427,7 @@ def q_landau_fft(g, f, tables, workers=None):
 
 # ---- direct-quadrature oracle -----------------------------------------------
 
-_DENSE_ORACLE_MAX = 16
-_ORACLE_MAX = 24
+_ORACLE_MAX = 16
 _flat_index_cache = {}
 
 
@@ -453,18 +452,11 @@ def _direct_convolve(kernel_cube, g, weight):
     """Exact direct-summation convolution, no FFTs anywhere.
 
     ``out[a] = sum_b kernel((v_a - v_b)) g[b] * weight`` with the kernel
-    sampled on the centered (2n-1)^3 difference cube.  Dense node-pair
-    matrices are used up to n=16; above that a C-implemented sliding-window
-    sum takes over.
+    sampled on the centered (2n-1)^3 difference cube, as one dense
+    node-pair matrix.
     """
-    n = g.shape[0]
-    if n <= _DENSE_ORACLE_MAX:
-        flat = _pair_flat_index(n)
-        mat = kernel_cube.ravel()[flat]
-        return (mat @ g.ravel()).reshape(g.shape) * weight
-    from scipy import ndimage
-
-    return ndimage.convolve(g, kernel_cube, mode="constant", cval=0.0) * weight
+    mat = kernel_cube.ravel()[_pair_flat_index(g.shape[0])]
+    return (mat @ g.ravel()).reshape(g.shape) * weight
 
 
 def q_landau_direct(g, f, gamma, velocity_grid, derivative_on="kernel"):

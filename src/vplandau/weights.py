@@ -22,7 +22,6 @@ the anisotropic gradient ``grad_tilde = P_v grad + <v> (I - P_v) grad``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -249,17 +248,19 @@ def anisotropic_gradient(velocity_grid, values):
             for g, vh in zip(gradv, vhat)]
 
 
-def landau_D_norm(values, velocity_grid, gamma, m_field=None, node_weight=None):
-    """Landau dissipation norm of a velocity field:
-    ``||f m <v>^{g/2}|| + ||grad_tilde(m f) <v>^{g/2}||``.
+def landau_D_norm(values, velocity_grid, gamma):
+    """Landau dissipation norm ``||f <v>^{g/2}|| + ||grad_tilde f <v>^{g/2}||``.
+
+    The norms reduce over the trailing three (velocity) axes, so a
+    phase-space field gives one value per spatial node.
     """
-    w = velocity_grid.node_weight if node_weight is None else node_weight
-    m = 1.0 if m_field is None else m_field
+    axes = (-3, -2, -1)
+    w = velocity_grid.node_weight
     br_g = bracket(velocity_grid) ** (0.5 * gamma)
-    mf = values * m
-    first = math.sqrt(float(np.sum((mf * br_g) ** 2)) * w)
-    tilde = anisotropic_gradient(velocity_grid, mf)
-    second = math.sqrt(sum(float(np.sum((t * br_g) ** 2)) for t in tilde) * w)
+    first = np.sqrt(np.sum((values * br_g) ** 2, axis=axes) * w)
+    tilde = anisotropic_gradient(velocity_grid, values)
+    second = np.sqrt(sum(np.sum((t * br_g) ** 2, axis=axes) for t in tilde)
+                     * w)
     return first + second
 
 
@@ -344,16 +345,9 @@ def norm_Y_k(state, spec, surrogate=False):
         ders = mixed_derivatives(g, f, indices)
         for (al, be), der in ders.items():
             a, b = sum(al), sum(be)
-            wf = weight_field(spec, g.velocity, a, b)
-            u = wf * der
-            br_g = bracket(g.velocity) ** (0.5 * spec.gamma)
-            wv = g.velocity.node_weight
-            first = np.sqrt(np.sum((u * br_g) ** 2, axis=(-3, -2, -1)) * wv)
-            tilde = anisotropic_gradient(g.velocity, u)
-            second = np.sqrt(
-                sum(np.sum((t * br_g) ** 2, axis=(-3, -2, -1)) for t in tilde)
-                * wv)
-            total += float(np.sum((first + second) ** 2)) * wx
+            u = weight_field(spec, g.velocity, a, b) * der
+            d_norm = landau_D_norm(u, g.velocity, spec.gamma)
+            total += float(np.sum(d_norm**2)) * wx
     return total
 
 

@@ -19,14 +19,8 @@ import sys
 import numpy as np
 import pytest
 
-from vplandau import diagnostics, dynamics, initial, landau, weights
-from vplandau.grid import (
-    PhaseGrid,
-    SpatialGrid,
-    VelocityGrid,
-    integrate_v,
-    l2_norm,
-)
+from vplandau import diagnostics, dynamics, initial, landau, verify, weights
+from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid
 from vplandau.poisson import residual as poisson_residual, solve_potential
 from vplandau.state import (
     SystemState,
@@ -34,12 +28,9 @@ from vplandau.state import (
     load_checkpoint,
     maxwellian,
     project_P,
-    project_Pi,
     projection_upper_constant,
     save_checkpoint,
 )
-
-from conftest import random_bandlimited_v
 
 GAMMAS = (-3.0, -1.0, 0.0, 1.0)
 
@@ -50,23 +41,14 @@ def report(criterion, ok, detail):
     return line
 
 
-def vnorm(ve, f):
-    return math.sqrt(float(np.sum(f**2)) * ve.node_weight)
-
-
 def test_criterion_01_collision_operator_equivalence():
     """FFT path vs direct-quadrature oracle, 20 random band-limited pairs."""
     ve = VelocityGrid(16, 8.0)
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for gamma in GAMMAS:
-        tables = landau.build_kernel_tables(gamma, ve, measure=False)
-        for _ in range(5):
-            g = random_bandlimited_v(rng, ve)
-            f = random_bandlimited_v(rng, ve)
-            qf = landau.q_landau_fft(g, f, tables)
-            qd = landau.q_landau_direct(g, f, gamma, ve)
-            worst = max(worst, vnorm(ve, qf - qd) / vnorm(ve, qd))
+    worst = max(
+        verify.oracle_error(
+            landau.build_kernel_tables(gamma, ve, measure=False), rng, 5)
+        for gamma in GAMMAS)
     ok = worst <= 1e-8
     line = report(1, ok, f"FFT-vs-oracle max rel error {worst:.2e} <= 1e-8 "
                          f"on 20 pairs, gamma in {GAMMAS}")
@@ -92,23 +74,17 @@ def test_criterion_03_collision_invariants():
     """Mass moment always ~0; corrected momentum/energy moments exactly ~0."""
     ve = VelocityGrid(16, 8.0)
     rng = np.random.default_rng(103)
-    worst_mass = 0.0
-    for gamma in (-3.0, 0.0):
-        tables = landau.build_kernel_tables(gamma, ve, measure=False)
-        for _ in range(3):
-            g = random_bandlimited_v(rng, ve)
-            f = random_bandlimited_v(rng, ve)
-            q = landau.q_landau_fft(g, f, tables)
-            mass = abs(float(np.sum(q)) * ve.node_weight)
-            worst_mass = max(worst_mass, mass / (vnorm(ve, g) * vnorm(ve, f)))
+    worst_mass = max(
+        verify.mass_moment_error(
+            landau.build_kernel_tables(gamma, ve, measure=False), rng, 3)
+        for gamma in (-3.0, 0.0))
     grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
     tables = landau.build_kernel_tables(-3.0, grid.velocity, measure=False)
     corr = landau.ConservativeCorrector(grid.velocity)
     state = initial.make_initial_condition(grid, amplitude=2e-3, seed=103)
     rp, rm = landau.apply_collision_field(state, tables, conservative=True,
                                           corrector=corr)
-    mom = corr.moments(rp) + corr.moments(rm)
-    worst_corr = float(np.max(np.abs(mom[1:])))
+    worst_corr = verify.corrected_moment_error(corr, rp, rm)
     ok = worst_mass <= 1e-12 and worst_corr <= 1e-12
     line = report(3, ok, f"mass moment {worst_mass:.2e} <= 1e-12 rel; "
                          f"corrected momentum/energy {worst_corr:.2e} <= 1e-12")
@@ -265,24 +241,13 @@ def test_criterion_08_weight_inequality_suite():
     """Lemma-style inequalities on a 4x3 (gamma, k) grid per model."""
     rng = np.random.default_rng(108)
     pts = rng.uniform(-8.0, 8.0, size=(1000, 3))
-    checked = failed = 0
-    for gamma in (-3.0, -2.0, -1.0, 1.0):
-        for k in (10.0, 15.0, 20.0):
-            suite = weights.weight_inequality_suite(
-                weights.WeightSpec("landau", gamma, k), pts)
-            checked += len(suite)
-            failed += sum(0 if r.passed else 1 for r in suite)
-    for gamma in (-0.5, 0.0, 0.5, 1.0):
-        for k in (17.0, 20.0, 25.0):
-            suite = weights.weight_inequality_suite(
-                weights.WeightSpec("boltzmann", gamma, k, s=0.75), pts)
-            checked += len(suite)
-            failed += sum(0 if r.passed else 1 for r in suite)
-    spec = weights.WeightSpec("landau", -3.0, 10.0)
-    corrupted = weights.weight_inequality_suite(spec, pts,
-                                                r_override=2.0 * spec.q)
-    floor_failures = sum(
-        1 for r in corrupted if r.name.startswith("floor") and not r.passed)
+    specs = [weights.WeightSpec("landau", gamma, k)
+             for gamma in (-3.0, -2.0, -1.0, 1.0) for k in (10.0, 15.0, 20.0)]
+    specs += [weights.WeightSpec("boltzmann", gamma, k, s=0.75)
+              for gamma in (-0.5, 0.0, 0.5, 1.0) for k in (17.0, 20.0, 25.0)]
+    checked, failed = verify.weight_suite_failures(specs, pts)
+    floor_failures = verify.corrupted_floor_failures(
+        weights.WeightSpec("landau", -3.0, 10.0), pts)
     ok = failed == 0 and floor_failures > 0
     line = report(8, ok, f"{checked} inequality instances checked at 1000 "
                          f"samples, {failed} failed; corrupted r=2q floor "
@@ -297,27 +262,7 @@ def test_criterion_09_projection_algebra():
     mu = maxwellian(grid.velocity)
     ve = grid.velocity
     x = grid.spatial.coordinate(0)[:, None, None, None]
-    worst = {"P": 0.0, "Pi": 0.0, "PiIP": 0.0}
-    for _ in range(5):
-        c = rng.standard_normal(5)
-        f1 = (1 + 0.4 * c[0] * np.cos(x)) * mu * (
-            c[1] + 0.2 * c[2] * ve.coordinate(0) + 0.1 * ve.speed_squared())
-        f2 = (1 - 0.3 * np.sin(x) * c[3]) * mu * (
-            1 + 0.2 * c[4] * ve.coordinate(1) * ve.coordinate(2))
-        st = SystemState(grid, f1, f2)
-        scale = max(l2_norm(grid, f1), l2_norm(grid, f2))
-        p1 = project_P(st)
-        p2 = project_P(st.with_fields(*p1))
-        worst["P"] = max(worst["P"], max(
-            l2_norm(grid, p2[i] - p1[i]) for i in range(2)) / scale)
-        q1 = project_Pi(st)
-        q2 = project_Pi(st.with_fields(*q1))
-        worst["Pi"] = max(worst["Pi"], max(
-            l2_norm(grid, q2[i] - q1[i]) for i in range(2)) / scale)
-        micro = st.with_fields(f1 - p1[0], f2 - p1[1])
-        r = project_Pi(micro)
-        worst["PiIP"] = max(worst["PiIP"], max(
-            l2_norm(grid, r[i]) for i in range(2)) / scale)
+    worst = verify.projection_defects(grid, rng, 5)
     algebra_ok = all(v <= 1e-11 for v in worst.values())
 
     k = 4.0
@@ -343,8 +288,8 @@ def test_criterion_09_projection_algebra():
     ok = algebra_ok and equiv_ok
     line = report(
         9, ok,
-        f"P/Pi/Pi(I-P) defects {worst['P']:.1e}/{worst['Pi']:.1e}/"
-        f"{worst['PiIP']:.1e} <= 1e-11; equivalence 1/2 <= split/total <= "
+        f"P/Pi/Pi(I-P) defects {worst['p_idempotent']:.1e}/"
+        f"{worst['pi_idempotent']:.1e}/{worst['pi_of_micro']:.1e} <= 1e-11; equivalence 1/2 <= split/total <= "
         f"C_k={upper:.1f} held on 100 fields: {equiv_ok}")
     assert ok, line
 

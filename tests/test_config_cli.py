@@ -97,6 +97,20 @@ dt = -1.0
                                                "flags.mode": "operator_test"})
         assert cfg.dt == 0.5 and cfg.mode == "operator_test"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_thread_count_is_a_violation(self, monkeypatch, value):
+        monkeypatch.setenv("VPLANDAU_THREADS", value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL)
+        assert any("VPLANDAU_THREADS" in v and repr(value) in v
+                   for v in err.value.violations)
+
+    def test_thread_count_from_environment(self, monkeypatch):
+        monkeypatch.setenv("VPLANDAU_THREADS", " 2 ")
+        assert parse_config(MINIMAL).workers == 2
+        monkeypatch.delenv("VPLANDAU_THREADS")
+        assert parse_config(MINIMAL).workers is None
+
 
 class TestInitialConditions:
     def test_zero_amplitude(self, small_grid):
@@ -218,6 +232,15 @@ class TestCLI:
         assert payload["error"] == "config"
         assert any("gamma range" in v for v in payload["violations"])
 
+    def test_bad_thread_count_exit_2(self, tmp_path):
+        ini = tmp_path / "ok.ini"
+        ini.write_text(MINIMAL)
+        proc = self._run("run", str(ini), env={"VPLANDAU_THREADS": "abc"})
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "config"
+        assert any("VPLANDAU_THREADS" in v for v in payload["violations"])
+
     def test_operator_test_cli(self, tmp_path):
         ini = tmp_path / "ok.ini"
         ini.write_text(MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n")
@@ -225,6 +248,20 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["passed"] is True
+
+    def test_operator_test_cli_exit_1_when_a_check_fails(
+            self, tmp_path, monkeypatch, capsys):
+        from vplandau import cli, verify
+
+        # the defect verify.oracle_error measures on mismatched tables
+        monkeypatch.setattr(verify, "oracle_error", lambda *args: 10.0)
+        ini = tmp_path / "ok.ini"
+        ini.write_text(MINIMAL + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert cli.main(["operator-test", str(ini),
+                         "--set", "grid.n_v=8"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert payload["fft_oracle_max_rel_error"] == 10.0
 
     def test_fit_subcommand(self, tmp_path):
         csv = tmp_path / "series.csv"

@@ -14,7 +14,6 @@ from vplandau.dynamics import (
     field_step,
     rkc_real_stability,
     rkc_step_pair,
-    suggest_dt,
     transport_step,
 )
 from vplandau.errors import PicardConvergenceError
@@ -264,7 +263,6 @@ class TestAdvance:
         with pytest.warns(RuntimeWarning):
             flagged = cfl_advisory(st, 10.0)
         assert flagged
-        assert suggest_dt(st) > 0
 
 
 class TestRKC:

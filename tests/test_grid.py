@@ -9,7 +9,6 @@ from vplandau.errors import GridMismatchError, UnsupportedOrderError
 from vplandau.grid import (
     PhaseGrid,
     SpatialGrid,
-    SpectralField,
     VelocityGrid,
     derivative_multiplier,
     forward_transform,
@@ -81,11 +80,6 @@ class TestTransforms:
     def test_shape_mismatch_raises(self, desk_grid):
         with pytest.raises(GridMismatchError):
             forward_transform(desk_grid, np.ones((3, 3)))
-
-    def test_hermitian_symmetry_and_field_roundtrip(self, desk_grid, rng):
-        field = SpectralField(desk_grid, rng.standard_normal(desk_grid.shape))
-        assert field.hermitian_defect() < 1e-12
-        assert field.roundtrip_defect() < 1e-13
 
     def test_parseval(self, desk_grid, rng):
         vals = rng.standard_normal(desk_grid.shape)

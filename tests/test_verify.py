@@ -1,0 +1,19 @@
+"""The operator checks of vplandau.verify report a defect when one exists."""
+
+import dataclasses
+
+import numpy as np
+
+from vplandau import landau, verify
+from vplandau.grid import VelocityGrid
+
+
+def test_oracle_error_exposes_mismatched_tables():
+    tables = landau.build_kernel_tables(0.0, VelocityGrid(8, 8.0),
+                                        measure=False)
+    matching = verify.oracle_error(tables, np.random.default_rng(1), 2)
+    # FFT path with gamma = 0 kernels, oracle at gamma = -1
+    wrong = dataclasses.replace(tables, gamma=-1.0)
+    mismatched = verify.oracle_error(wrong, np.random.default_rng(1), 2)
+    assert matching <= 1e-12
+    assert mismatched > verify.FFT_ORACLE_TOL

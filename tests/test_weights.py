@@ -186,6 +186,17 @@ class TestDissipationNorm:
             assert tilde[a][c, c, c] == pytest.approx(plain[a][c, c, c],
                                                       abs=1e-14)
 
+    def test_one_value_per_spatial_node(self, small_grid):
+        # a phase-space field reduces over the velocity axes only, exactly
+        # as slice by slice
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(small_grid.shape)
+        ve = small_grid.velocity
+        vals = landau_D_norm(f, ve, -3.0)
+        assert vals.shape == (small_grid.spatial.n_x,)
+        assert np.array_equal(
+            vals, [landau_D_norm(f[i], ve, -3.0) for i in range(len(vals))])
+
 
 class TestFunctionals:
     def _state(self, grid, scale=1e-3):
