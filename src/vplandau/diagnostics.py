@@ -298,15 +298,17 @@ class LinearizedResult:
 def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
                                 cadence=1, transient_fraction=0.1,
                                 conservative_correction=True,
-                                scheme="picard_implicit"):
+                                scheme="picard_implicit", workers=None):
     """Evolve the linearized system and fit the decay of its energy.
 
     The dynamics drop every nonlinear term: transport, the field source
     ``-+ grad(phi) . v mu`` and the linearized collision operator remain.
     Initial data is projected so that the global kernel component vanishes
     (``Pi f0 = 0``).  Returns fits of both envelopes (exponential and
-    algebraic) of ``||(I-P) f||^2`` over the post-transient window plus the
-    recorded series, ``E_k`` included.
+    algebraic) of ``||(I-P) f||^2`` over the post-transient window, the
+    recorded series, ``E_k`` included, and the largest relative drift of the
+    linearized system's invariants (species masses, momentum and kinetic
+    energy; see :func:`check_conservation`).
     """
     from . import dynamics
 
@@ -315,7 +317,7 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
                                       initial_state.f_minus - pi_m)
     cfg = dynamics.TimeStepConfig(
         dt=dt, scheme=scheme, linearized=True,
-        conservative_correction=conservative_correction)
+        conservative_correction=conservative_correction, workers=workers)
     times = [state.time]
     micro = []
     macro = []
@@ -335,7 +337,7 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
             snap(s)
 
     final = dynamics.advance(state, t_final, cfg, tables, sink=sink)
-    report = check_conservation(final, state)
+    report = check_conservation(final, state, linearized=True)
     t = np.array(times)
     micro_energy = np.array(micro) ** 2
     fit_exp = fit_decay(t, micro_energy, "exponential",

@@ -83,7 +83,7 @@ def transport_phase(grid, dt):
     return np.exp(-1j * dt * dot)
 
 
-def transport_step(state, dt, phase=None):
+def transport_step(state, dt, phase=None, workers=None):
     """Exact free streaming: f(x, v) -> f(x - v dt, v) on the grid."""
     g = state.grid
     if phase is None:
@@ -91,21 +91,24 @@ def transport_step(state, dt, phase=None):
     axes = g.x_axes
     out = []
     for f in (state.f_plus, state.f_minus):
-        hat = sfft.fftn(f, axes=axes, norm="forward")
+        hat = sfft.fftn(f, axes=axes, norm="forward", workers=workers)
         hat *= phase
-        out.append(sfft.ifftn(hat, axes=axes, norm="forward").real)
+        out.append(sfft.ifftn(hat, axes=axes, norm="forward",
+                              overwrite_x=True, workers=workers).real)
     _check_finite("transport", state.time, out)
     return state.with_fields(out[0], out[1], time=state.time + dt)
 
 
-def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source):
+def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source, workers=None):
     """RHS of d_t f_pm = +-grad(phi).grad_v f_pm -+ grad(phi).v mu."""
     dp = np.zeros_like(f_plus)
     dm = np.zeros_like(f_minus)
     for a in range(grid.dim_x):
         ga = grad_phi[a][(...,) + (None, None, None)]
-        dp += ga * v_derivative_trailing(grid.velocity, f_plus, a)
-        dm -= ga * v_derivative_trailing(grid.velocity, f_minus, a)
+        dp += ga * v_derivative_trailing(grid.velocity, f_plus, a,
+                                         workers=workers)
+        dm -= ga * v_derivative_trailing(grid.velocity, f_minus, a,
+                                         workers=workers)
     dp -= v_mu_source
     dm += v_mu_source
     return dp, dm
@@ -121,7 +124,7 @@ def _field_source(grid, grad_phi):
     return src
 
 
-def field_step(state, dt, grad_phi=None):
+def field_step(state, dt, grad_phi=None, workers=None):
     """Frozen-potential Vlasov substep via classical RK4.
 
     ``grad_phi`` (a tuple of spatial arrays) may be supplied to force an
@@ -132,13 +135,11 @@ def field_step(state, dt, grad_phi=None):
     if grad_phi is None:
         grad_phi = tuple(-e for e in state.e_field)
     src = _field_source(g, grad_phi)
-    fp, fm = state.f_plus, state.f_minus
-    k1 = _field_rhs(g, grad_phi, fp, fm, src)
-    k2 = _field_rhs(g, grad_phi, fp + 0.5 * dt * k1[0], fm + 0.5 * dt * k1[1], src)
-    k3 = _field_rhs(g, grad_phi, fp + 0.5 * dt * k2[0], fm + 0.5 * dt * k2[1], src)
-    k4 = _field_rhs(g, grad_phi, fp + dt * k3[0], fm + dt * k3[1], src)
-    new_p = fp + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    new_m = fm + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+
+    def rhs(fp, fm):
+        return _field_rhs(g, grad_phi, fp, fm, src, workers)
+
+    new_p, new_m = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
     _check_finite("field", state.time, (new_p, new_m))
     return state.with_fields(new_p, new_m)
 
@@ -406,12 +407,12 @@ def advance(state, t_final, cfg, tables=None, sink=None):
         if step % 10 == 1 and step > 1:
             cfl_flag = cfl_advisory(state, dt)
 
-        state = transport_step(state, 0.5 * dt, phase)
+        state = transport_step(state, 0.5 * dt, phase, cfg.workers)
         if cfg.field_enabled:
             if cfg.linearized:
                 state = _linearized_field_step(state, 0.5 * dt)
             else:
-                state = field_step(state, 0.5 * dt)
+                state = field_step(state, 0.5 * dt, workers=cfg.workers)
         iters, ratios = 0, ()
         if cfg.collision_enabled:
             state, iters, ratios = collision_step(state, dt, cfg, tables,
@@ -420,8 +421,8 @@ def advance(state, t_final, cfg, tables=None, sink=None):
             if cfg.linearized:
                 state = _linearized_field_step(state, 0.5 * dt)
             else:
-                state = field_step(state, 0.5 * dt)
-        state = transport_step(state, 0.5 * dt, phase)
+                state = field_step(state, 0.5 * dt, workers=cfg.workers)
+        state = transport_step(state, 0.5 * dt, phase, cfg.workers)
         state.time = t_final if step == len(steps) else t0 + step * cfg.dt
         if sink is not None:
             sink(state, StepInfo(step=step, dt=dt, picard_iterations=iters,

@@ -185,7 +185,8 @@ def linearized_run(cfg):
     result = diagnostics.linearized_decay_experiment(
         state, tables, spec, cfg.dt, cfg.t_final, cadence=cfg.record_every,
         transient_fraction=cfg.transient_fraction,
-        conservative_correction=cfg.conservative_correction)
+        conservative_correction=cfg.conservative_correction,
+        workers=cfg.workers)
     os.makedirs(cfg.directory, exist_ok=True)
     series_path = os.path.join(cfg.directory, cfg.csv)
     with open(series_path, "w") as fh:

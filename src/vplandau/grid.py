@@ -253,13 +253,25 @@ def wavenumber_squared(axis_grid, ndim=None):
     return sum(along(k, ndim - n_axes + a, ndim) ** 2 for a in range(n_axes))
 
 
-def axis_derivative(axis_grid, values, axis, order=1):
-    """Spectral derivative along array ``axis``, sampled by ``axis_grid``."""
+def axis_derivative(axis_grid, values, axis, order=1, workers=None):
+    """Spectral derivative along array ``axis``, sampled by ``axis_grid``.
+
+    Real input goes through ``rfft``/``irfft``, multiplied by the first
+    ``n // 2 + 1`` entries of :func:`derivative_multiplier` (the
+    non-negative frequencies and the Nyquist mode); complex input through
+    ``fft``/``ifft`` with the whole multiplier.
+    """
     mult = derivative_multiplier(axis_grid, order)
-    hat = sfft.fft(values, axis=axis, norm="forward")
-    hat *= along(mult, axis, values.ndim)
-    out = sfft.ifft(hat, axis=axis, norm="forward")
-    return out.real if np.isrealobj(values) else out
+    if np.iscomplexobj(values):
+        hat = sfft.fft(values, axis=axis, norm="forward", workers=workers)
+        hat *= along(mult, axis, values.ndim)
+        return sfft.ifft(hat, axis=axis, norm="forward", overwrite_x=True,
+                         workers=workers)
+    n = values.shape[axis]
+    hat = sfft.rfft(values, axis=axis, norm="forward", workers=workers)
+    hat *= along(mult[: n // 2 + 1], axis, values.ndim)
+    return sfft.irfft(hat, n=n, axis=axis, norm="forward", overwrite_x=True,
+                      workers=workers)
 
 
 def spectral_derivative(grid, values, axis, order=1):
@@ -323,12 +335,13 @@ def spectral_l2_norm(grid, coeffs, domain="xv"):
     return math.sqrt(float(np.sum(np.abs(coeffs) ** 2)) * vol)
 
 
-def v_derivative_trailing(velocity_grid, values, axis):
+def v_derivative_trailing(velocity_grid, values, axis, workers=None):
     """Spectral d/dv_axis acting on the trailing three (velocity) axes.
 
     Works for velocity-only fields and for phase-space fields alike.
     """
-    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis)
+    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis,
+                           workers=workers)
 
 
 # ---- truncation / aliasing tolerance -------------------------------------

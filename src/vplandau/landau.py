@@ -379,23 +379,37 @@ def convolve_tables(tables, g, workers=None):
 _v_derivative = v_derivative_trailing
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, df=None):
+def _flux(tables, phi_conv, deriv_conv, f, df, i):
+    """Flux ``i`` of Q(g, f): sum_j (phi^{ij} * g) d_j f - (D_i * g) f."""
+    flux = -deriv_conv[i] * f
+    for j in range(3):
+        flux += phi_conv[tables.pair_index(i, j)] * df[j]
+    return flux
+
+
+def q_from_convolutions(tables, phi_conv, deriv_conv, f, df=None,
+                        add_flux=None, workers=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
     flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
     storing D_i = d_j phi^{ij} = -2 |u|^gamma u_i, then Q = d_i flux_i.
-    ``df`` may supply precomputed velocity derivatives of ``f``.
+    ``df`` may supply precomputed velocity derivatives of ``f``, and
+    ``add_flux`` three fluxes (broadcasting against ``f``) added before the
+    divergence, which then yields the sum of both operators.
     """
     ve = tables.velocity_grid
     if df is None:
-        df = [_v_derivative(ve, f, j) for j in range(3)]
+        df = [_v_derivative(ve, f, j, workers=workers) for j in range(3)]
     out = None
     for i in range(3):
-        flux = -deriv_conv[i] * f
-        for j in range(3):
-            flux = flux + phi_conv[tables.pair_index(i, j)] * df[j]
-        term = _v_derivative(ve, flux, i)
-        out = term if out is None else out + term
+        flux = _flux(tables, phi_conv, deriv_conv, f, df, i)
+        if add_flux is not None:
+            flux += add_flux[i]
+        term = _v_derivative(ve, flux, i, workers=workers)
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -578,14 +592,16 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
     ``rhs(f+, f-) = Q(s, mu) + Q(2 mu + s, f_pm)`` (the convolution is linear
     in its first argument, and the Maxwellian convolutions are cached).  With
     ``linearized=True`` the closure is ``Q(s, mu) + Q(2 mu, f_pm)``, the
-    linearized operator when ``s = f+ + f-``.  A ``corrector`` is applied to
-    every output.  This is the only place the collision right-hand side is
-    assembled.
+    linearized operator when ``s = f+ + f-``.  The fluxes of ``Q(s, mu)``
+    are built once, from the cached Maxwellian derivatives, and added to the
+    ``f_pm`` fluxes, so each call takes a single divergence.  A
+    ``corrector`` is applied to every output.  This is the only place the
+    collision right-hand side is assembled.
     """
     mu = maxwellian(tables.velocity_grid)
     phi_s, der_s = convolve_tables(tables, s, workers)
-    q_s_mu = q_from_convolutions(tables, phi_s, der_s, mu,
-                                 df=mu_derivatives(tables))
+    dmu = mu_derivatives(tables)
+    flux_s_mu = [_flux(tables, phi_s, der_s, mu, dmu, i) for i in range(3)]
     # convolutions of the first argument of Q(., f_pm): 2 mu + s, or 2 mu
     phi_m, der_m = mu_convolutions(tables)
     phi_tot = [(2.0 * m if linearized else 2.0 * m + c)[None]
@@ -594,9 +610,9 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
                for m, c in zip(der_m, der_s)]
 
     def rhs(f_plus, f_minus):
-        q_pair = q_from_convolutions(tables, phi_tot, der_tot,
-                                     np.stack([f_plus, f_minus]))
-        rp, rm = q_s_mu + q_pair[0], q_s_mu + q_pair[1]
+        rp, rm = q_from_convolutions(tables, phi_tot, der_tot,
+                                     np.stack([f_plus, f_minus]),
+                                     add_flux=flux_s_mu, workers=workers)
         if corrector is not None:
             rp, rm = corrector.apply(rp, rm)
         return rp, rm

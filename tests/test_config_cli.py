@@ -214,6 +214,49 @@ amplitude = 1e-4
         assert np.isfinite(summary["min_full_distribution"])
 
 
+    LINEARIZED = MINIMAL.replace("n_v = 16", "n_x = 4\nn_v = 8") + """
+[time]
+dt = 0.01
+t_final = 0.3
+
+[flags]
+mode = linearized
+"""
+
+    def test_linearized_mode_checks_its_invariants(self, tmp_path):
+        # the field energy is not a linearized invariant: its drift here is
+        # 7.4e-8, while masses, momentum and kinetic energy hold to 1e-19
+        from vplandau.experiments import LINEARIZED_DRIFT_TOL, run_experiment
+
+        cfg = parse_config(
+            self.LINEARIZED + f"[output]\ndirectory = {tmp_path}\n")
+        summary, _ = run_experiment(cfg)
+        assert summary["conservation_max_drift"] <= LINEARIZED_DRIFT_TOL
+        assert summary["flags"]["conservation"]
+
+    def test_linearized_mode_flags_a_kinetic_energy_drift(
+            self, tmp_path, monkeypatch):
+        from vplandau import dynamics
+        from vplandau.experiments import run_experiment
+
+        advance = dynamics.advance
+
+        def shifted(*args, **kwargs):
+            # add 1e-8 (|v|^2 - 3) mu: no charge, a |v|^2 moment of 6e-8
+            final = advance(*args, **kwargs)
+            ve = final.grid.velocity
+            bump = 1e-8 * (ve.speed_squared() - 3.0) * maxwellian(ve)
+            return final.with_fields(final.f_plus + bump,
+                                     final.f_minus + bump)
+
+        monkeypatch.setattr(dynamics, "advance", shifted)
+        cfg = parse_config(
+            self.LINEARIZED + f"[output]\ndirectory = {tmp_path}\n")
+        summary, passed = run_experiment(cfg)
+        assert summary["conservation_max_drift"] > 1e-8
+        assert not summary["flags"]["conservation"] and not passed
+
+
 class TestCLI:
     def _run(self, *args, env=None):
         full_env = dict(os.environ)

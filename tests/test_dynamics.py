@@ -191,6 +191,40 @@ class TestCollisionStep:
         assert diff <= 1e-8 * max(l2_norm(grid, st.f_plus), 1e-300)
 
 
+class TestWorkers:
+    """Transforms split their lines across workers; results must not move."""
+
+    @pytest.fixture
+    def state(self):
+        grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(16, 8.0))
+        return make_initial_condition(grid, amplitude=1e-3, seed=5)
+
+    @staticmethod
+    def assert_identical(one, two):
+        assert np.array_equal(one.f_plus, two.f_plus)
+        assert np.array_equal(one.f_minus, two.f_minus)
+
+    def test_transport(self, state):
+        self.assert_identical(transport_step(state, 0.05, workers=1),
+                              transport_step(state, 0.05, workers=2))
+
+    def test_field(self, state):
+        self.assert_identical(field_step(state, 0.05, workers=1),
+                              field_step(state, 0.05, workers=2))
+
+    # at dt = 0.3 the Picard step takes the Chebyshev (RKC) integrator
+    @pytest.mark.parametrize("scheme, dt", [("strang_rk4", 1e-2),
+                                            ("picard_implicit", 0.3)])
+    def test_collision(self, state, scheme, dt):
+        tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
+                                            measure=False)
+        one, two = (
+            collision_step(state, dt, TimeStepConfig(
+                dt=dt, scheme=scheme, workers=w), tables)[0]
+            for w in (1, 2))
+        self.assert_identical(one, two)
+
+
 class TestAdvance:
     def test_pure_transport_analytic(self, small_grid):
         st = single_mode_state(small_grid)

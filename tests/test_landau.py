@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vplandau import landau
 from vplandau.errors import CostGuardError, GridMismatchError, ParameterError
 from vplandau.grid import VelocityGrid, PhaseGrid, SpatialGrid, integrate_v
 from vplandau.landau import (
@@ -321,6 +322,44 @@ class TestCollisionField:
         scale = eps * vnorm(ve, mu)
         # RHS is a bilinear combination ~ 4 eps Q-type terms of size eps_op
         assert vnorm(ve, rp[0]) <= 10.0 * tables.epsilon_op * scale
+
+
+class TestFrozenCollision:
+    @pytest.fixture
+    def setup(self, rng):
+        ve = VelocityGrid(8, 6.0)
+        tables = build_kernel_tables(-3.0, ve, measure=False)
+        s = rng.standard_normal((3,) + ve.shape)
+        fp = rng.standard_normal((3,) + ve.shape)
+        return tables, s, fp, s - fp
+
+    def test_one_divergence_per_right_hand_side(self, setup, monkeypatch):
+        tables, s, fp, fm = setup
+        landau.mu_derivatives(tables)  # filled once per tables
+        calls = []
+        derivative = landau._v_derivative
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return derivative(*args, **kwargs)
+
+        monkeypatch.setattr(landau, "_v_derivative", counted)
+        rhs = landau.frozen_collision(tables, s)
+        assert calls == []
+        rhs(fp, fm)
+        # d_j f for the stacked pair, then one divergence of the summed flux
+        assert calls == [0, 1, 2, 0, 1, 2]
+
+    def test_sum_of_both_operators(self, setup):
+        # Q(s, mu) + Q(2 mu + s, f_pm), each assembled on its own
+        tables, s, fp, fm = setup
+        mu = maxwellian(tables.velocity_grid)
+        rp, rm = landau.frozen_collision(tables, s)(fp, fm)
+        q_s_mu = q_landau_fft(s, np.broadcast_to(mu, s.shape), tables)
+        for got, f in ((rp, fp), (rm, fm)):
+            want = q_s_mu + q_landau_fft(2.0 * mu + s, f, tables)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-13 * np.linalg.norm(want))
 
 
 class TestLinearizedCollision:
