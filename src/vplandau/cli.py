@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 
 from . import diagnostics
-from .config import load_config, parse_config
+from .config import load_config
 from .errors import ConfigError
 from .experiments import run_experiment
 

@@ -32,7 +32,7 @@ _DEFAULTS = {
                "summary": "summary.json", "checkpoint_every": "0",
                "record_every": "1"},
     "flags": {"conservative_correction": "true", "mode": "nonlinear",
-              "fit_mode": "auto", "transient_fraction": "0.1"},
+              "transient_fraction": "0.1"},
 }
 
 
@@ -65,7 +65,6 @@ class RunConfig:
     record_every: int
     conservative_correction: bool
     mode: str
-    fit_mode: str
     transient_fraction: float
     workers: int | None = None
 
@@ -92,26 +91,41 @@ def _parse_bool(text, key, violations):
     return False
 
 
+def _unknown_keys(text, overrides):
+    """Violations naming each section or key absent from ``_DEFAULTS``."""
+    # no default section, so a "[DEFAULT]" header is an ordinary, unknown one
+    given = configparser.ConfigParser(default_section="")
+    given.read_string(text)
+    violations = [f"[{section}]: unknown section" for section in
+                  given.sections() if section not in _DEFAULTS]
+    names = [f"{section}.{key}" for section in given.sections()
+             if section in _DEFAULTS for key in given[section]]
+    for name in names + list(overrides or ()):
+        section, _, key = name.partition(".")
+        if section not in _DEFAULTS:
+            violations.append(f"{name}: unknown section {section!r}")
+        elif key.lower() not in _DEFAULTS[section]:
+            violations.append(f"{name}: unknown key")
+    return violations
+
+
 def parse_config(text, overrides=None):
     """Parse and validate configuration text; collect every violation.
 
     ``overrides`` is an optional mapping of ``section.key`` to raw string
-    values applied after the file content (the CLI's --set flags).
+    values applied after the file content (the CLI's --set flags).  Every
+    section and key, in the text and in the overrides, must be one that
+    ``_DEFAULTS`` names.
     """
     parser = configparser.ConfigParser()
     for section, defaults in _DEFAULTS.items():
         parser[section] = dict(defaults)
     parser.read_string(text)
-    if overrides:
-        for dotted, value in overrides.items():
-            if "." not in dotted:
-                raise ConfigError([f"override {dotted!r} must be section.key"])
-            section, key = dotted.split(".", 1)
-            if section not in parser:
-                raise ConfigError([f"unknown section {section!r}"])
+    violations = _unknown_keys(text, overrides)
+    for dotted, value in (overrides or {}).items():
+        section, _, key = dotted.partition(".")
+        if section in _DEFAULTS:
             parser[section][key] = value
-
-    violations = []
 
     def get_float(section, key, allow_empty=False):
         raw = parser[section][key].strip()
@@ -212,9 +226,6 @@ def parse_config(text, overrides=None):
         violations.append(f"flags.mode: unknown mode {mode!r}")
     conservative = _parse_bool(parser["flags"]["conservative_correction"],
                                "flags.conservative_correction", violations)
-    fit_mode = parser["flags"]["fit_mode"].strip()
-    if fit_mode not in ("auto", "exponential", "polynomial"):
-        violations.append(f"flags.fit_mode: unknown value {fit_mode!r}")
     transient_fraction = get_float("flags", "transient_fraction")
 
     workers = None
@@ -243,7 +254,7 @@ def parse_config(text, overrides=None):
         summary=parser["output"]["summary"].strip(),
         checkpoint_every=get_int("output", "checkpoint_every"),
         record_every=max(1, get_int("output", "record_every")),
-        conservative_correction=conservative, mode=mode, fit_mode=fit_mode,
+        conservative_correction=conservative, mode=mode,
         transient_fraction=transient_fraction, workers=workers,
     )
 

@@ -44,6 +44,8 @@ CSV_COLUMNS = [
     "balance_minus", "picard_iterations", "epsilon_op",
 ]
 
+FIT_MIN_SAMPLES = 20
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -146,10 +148,9 @@ class Recorder:
     are evaluated only on recorded steps.
     """
 
-    def __init__(self, spec, reference_state, ladder=None, cadence=1,
-                 epsilon_op=0.0, compute_d_k=True):
+    def __init__(self, spec, reference_state, cadence=1, epsilon_op=0.0,
+                 compute_d_k=True):
         self.spec = spec
-        self.ladder = ladder or weights.WeightLadderConstants()
         self.cadence = max(1, int(cadence))
         self.epsilon_op = epsilon_op
         self.compute_d_k = compute_d_k
@@ -161,7 +162,7 @@ class Recorder:
 
     def record_state(self, state, picard_iterations=0):
         q = ConservedQuantities.of(state)
-        e_k = weights.functional_E_k(state, self.spec, self.ladder)
+        e_k = weights.functional_E_k(state, self.spec)
         if self.compute_d_k and self.spec.model == "landau":
             d_k = weights.functional_D_k(state, self.spec)
         else:
@@ -218,14 +219,15 @@ class Recorder:
 
 
 def read_series_csv(path):
-    """Load a recorder CSV back into a dict of numpy arrays."""
+    """Load a series CSV into a dict of numpy arrays, one per header column.
+
+    Reads the recorder's CSV and the one ``vplandau linearized`` writes.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    out = {}
-    for col in CSV_COLUMNS:
-        out[col] = np.array([float(r[col]) for r in rows])
-    return out
+    return {col: np.array([float(r[col]) for r in rows])
+            for col in reader.fieldnames}
 
 
 # ---- decay fitting -------------------------------------------------------------
@@ -240,15 +242,15 @@ class DecayFit:
     n_samples: int
 
 
-def fit_decay(times, values, mode, window=None, transient_fraction=0.1,
-              min_samples=20):
+def fit_decay(times, values, mode, window=None, transient_fraction=0.1):
     """Least-squares decay fit on a positive time series.
 
     Exponential mode regresses ``log E`` on ``t`` and reports
     ``rate = -slope`` (positive for decay); polynomial mode regresses
     ``log E`` on ``log(1 + t)`` and reports the slope itself (negative for
     decay).  The fit window excludes the initial transient (first 10% of the
-    span by default) unless an explicit ``window`` is given.
+    span by default) unless an explicit ``window`` is given, and must hold
+    at least ``FIT_MIN_SAMPLES`` samples.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(values, dtype=float)
@@ -257,8 +259,9 @@ def fit_decay(times, values, mode, window=None, transient_fraction=0.1,
         window = (t0, t[-1])
     mask = (t >= window[0]) & (t <= window[1])
     t, e = t[mask], e[mask]
-    if t.size < min_samples:
-        raise FitError(f"need >= {min_samples} samples in window, got {t.size}")
+    if t.size < FIT_MIN_SAMPLES:
+        raise FitError(
+            f"need >= {FIT_MIN_SAMPLES} samples in window, got {t.size}")
     if np.any(e <= 0):
         raise FitError("non-positive values in fit window")
     y = np.log(e)

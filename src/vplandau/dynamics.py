@@ -38,8 +38,6 @@ class TimeStepConfig:
     picard_tol: float = 1e-10
     picard_max_iters: int = 25
     conservative_correction: bool = True
-    collision_enabled: bool = True
-    field_enabled: bool = True
     linearized: bool = False
     workers: int | None = None
 
@@ -388,14 +386,18 @@ def advance(state, t_final, cfg, tables=None, sink=None):
     Steps follow :func:`step_schedule`: step ``k`` of size ``cfg.dt`` ends at
     ``t0 + k * cfg.dt`` and the last step ends at ``t_final`` exactly, so a
     run resumed from a checkpoint with the same ``dt`` repeats the straight
-    run bit for bit.  ``tables`` (the run's kernel tables) may be omitted
-    only when ``cfg.collision_enabled`` is false.
+    run bit for bit.  ``tables`` are the run's kernel tables.
     """
     if t_final <= state.time:
         raise ValueError("t_final must exceed the state's current time")
-    if tables is None and cfg.collision_enabled:
+    if tables is None:
         raise ValueError("advance needs kernel tables for the collision "
                          "substep (landau.build_kernel_tables)")
+    if cfg.linearized:
+        field = _linearized_field_step
+    else:
+        def field(s, dt):
+            return field_step(s, dt, workers=cfg.workers)
     corrector = landau.ConservativeCorrector(state.grid.velocity)
     t0 = state.time
     n_whole, rem = step_schedule(t0, t_final, cfg.dt)
@@ -408,20 +410,10 @@ def advance(state, t_final, cfg, tables=None, sink=None):
             cfl_flag = cfl_advisory(state, dt)
 
         state = transport_step(state, 0.5 * dt, phase, cfg.workers)
-        if cfg.field_enabled:
-            if cfg.linearized:
-                state = _linearized_field_step(state, 0.5 * dt)
-            else:
-                state = field_step(state, 0.5 * dt, workers=cfg.workers)
-        iters, ratios = 0, ()
-        if cfg.collision_enabled:
-            state, iters, ratios = collision_step(state, dt, cfg, tables,
-                                                  corrector)
-        if cfg.field_enabled:
-            if cfg.linearized:
-                state = _linearized_field_step(state, 0.5 * dt)
-            else:
-                state = field_step(state, 0.5 * dt, workers=cfg.workers)
+        state = field(state, 0.5 * dt)
+        state, iters, ratios = collision_step(state, dt, cfg, tables,
+                                              corrector)
+        state = field(state, 0.5 * dt)
         state = transport_step(state, 0.5 * dt, phase, cfg.workers)
         state.time = t_final if step == len(steps) else t0 + step * cfg.dt
         if sink is not None:

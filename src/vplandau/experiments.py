@@ -137,8 +137,7 @@ def nonlinear_run(cfg):
     fits = {}
     flags = {"conservation": report.max_relative_drift() <= CONSERVATION_TOL}
     modes = (["exponential"] if cfg.gamma >= 0 else
-             ["exponential", "polynomial"]) \
-        if cfg.fit_mode == "auto" else [cfg.fit_mode]
+             ["exponential", "polynomial"])
     for mode in modes:
         try:
             fits[mode] = asdict(diagnostics.fit_decay(
@@ -186,14 +185,14 @@ def linearized_run(cfg):
         state, tables, spec, cfg.dt, cfg.t_final, cadence=cfg.record_every,
         transient_fraction=cfg.transient_fraction,
         conservative_correction=cfg.conservative_correction,
-        workers=cfg.workers)
+        scheme=cfg.scheme, workers=cfg.workers)
     os.makedirs(cfg.directory, exist_ok=True)
     series_path = os.path.join(cfg.directory, cfg.csv)
     with open(series_path, "w") as fh:
         fh.write("time,micro_norm,macro_norm,e_k\n")
-        for t, mi, ma, ek in zip(result.times, result.micro_norms,
-                                 result.macro_norms, result.e_k_series):
-            fh.write(f"{t!r},{mi!r},{ma!r},{ek!r}\n")
+        for row in zip(result.times, result.micro_norms, result.macro_norms,
+                       result.e_k_series):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     micro_energy = result.micro_norms**2
     decayed = micro_energy[-1] < micro_energy[0]
     flags = {

@@ -103,10 +103,6 @@ class VelocityGrid:
             raise ValueError("cutoff_L must be positive")
 
     @property
-    def dim_v(self):
-        return 3
-
-    @property
     def spacing(self):
         return 2.0 * self.cutoff_L / self.n_v
 

@@ -20,7 +20,12 @@ import numpy as np
 from . import poisson
 from .errors import InitialConditionError
 from .grid import integrate_v, integrate_x
-from .state import SystemState, kernel_pair_basis, maxwellian
+from .state import (
+    SystemState,
+    conserved_moments,
+    kernel_pair_basis,
+    maxwellian,
+)
 from .weights import bracket
 
 
@@ -87,36 +92,15 @@ def project_conservation(grid, f_plus, f_minus):
     of the potential of the charge density with its mean removed.
     """
     ve = grid.velocity
-    vs = [ve.coordinate(j) for j in range(3)]
-    sp2 = ve.speed_squared()
-
-    def functionals(fp, fm):
-        vals = [
-            integrate_x(grid, integrate_v(grid, fp)),
-            integrate_x(grid, integrate_v(grid, fm)),
-        ]
-        s = fp + fm
-        for j in range(3):
-            vals.append(integrate_x(grid, integrate_v(grid, vs[j] * s)))
-        vals.append(integrate_x(grid, integrate_v(grid, sp2 * s)))
-        return np.array(vals)
-
     basis = kernel_pair_basis(ve)
-    volx = grid.spatial.volume
-    # constraint matrix: functionals of each (x-homogeneous) basis pair
-    mat = np.zeros((6, 6))
-    for col, (bp, bm) in enumerate(basis):
-        w = grid.velocity.node_weight
-        mass_p = float(np.sum(bp)) * w * volx
-        mass_m = float(np.sum(bm)) * w * volx
-        mat[0, col] = mass_p
-        mat[1, col] = mass_m
-        for j in range(3):
-            mat[2 + j, col] = float(np.sum(vs[j] * (bp + bm))) * w * volx
-        mat[5, col] = float(np.sum(sp2 * (bp + bm))) * w * volx
+    # constraint matrix: functionals of each (x-homogeneous) basis pair, one
+    # column per pair
+    stacks = (np.stack(part) for part in zip(*basis))
+    mat = np.array(conserved_moments(ve, *stacks)) * grid.spatial.volume
     rho = integrate_v(grid, f_plus - f_minus)
     phi = poisson.solve_potential(grid.spatial, rho - np.mean(rho)).phi
-    target = functionals(f_plus, f_minus)
+    target = np.array([integrate_x(grid, m)
+                       for m in conserved_moments(ve, f_plus, f_minus)])
     target[5] += poisson.field_energy(grid.spatial, phi)
     coef = np.linalg.solve(mat, target)
     corr_p = sum(c * bp for c, (bp, _) in zip(coef, basis))

@@ -35,7 +35,7 @@ import scipy.fft as sfft
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
 from .grid import v_derivative_trailing
-from .state import maxwellian
+from .state import invariant_moments, maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
@@ -543,27 +543,16 @@ class ConservativeCorrector:
     def __init__(self, velocity_grid):
         ve = velocity_grid
         mu = maxwellian(ve)
-        vs = [ve.coordinate(j) for j in range(3)]
-        psi = [np.ones(ve.shape), vs[0], vs[1], vs[2], ve.speed_squared()]
-        basis = [p * mu for p in psi]
-        w = ve.node_weight
-        gram = np.array([
-            [float(np.sum(pm * bk)) * w for bk in basis] for pm in psi
-        ])
+        psi = [ve.coordinate(j) for j in range(3)] + [ve.speed_squared()]
         self.velocity_grid = ve
-        self.psi = psi
-        self.basis = np.stack(basis)  # (5, n, n, n)
-        self.gram_inv = np.linalg.inv(gram)
-
-    def moments(self, field):
-        """Collision-invariant moments of a (possibly x-carrying) field."""
-        w = self.velocity_grid.node_weight
-        return np.stack([
-            np.sum(field * p, axis=(-3, -2, -1)) * w for p in self.psi
-        ])
+        self.basis = np.stack([mu] + [p * mu for p in psi])  # (5, n, n, n)
+        # gram[m, k]: the m-th invariant moment of the k-th basis field
+        self.gram_inv = np.linalg.inv(invariant_moments(ve, self.basis))
 
     def apply(self, rhs_plus, rhs_minus):
-        defect = self.moments(rhs_plus) + self.moments(rhs_minus)
+        ve = self.velocity_grid
+        defect = (invariant_moments(ve, rhs_plus)
+                  + invariant_moments(ve, rhs_minus))
         target = 0.5 * defect
         target[0] = 0.0  # keep per-species mass untouched (already exact)
         alpha = np.tensordot(self.gram_inv, target, axes=(1, 0))

@@ -27,11 +27,12 @@ class PoissonResult:
     mean_projected: bool
 
 
-def solve_potential(spatial, rho, warn_mean_tol=1e-8):
+def solve_potential(spatial, rho):
     """Solve the zero-mean periodic Poisson problem for ``phi`` and ``E``.
 
     Returns a :class:`PoissonResult`.  ``phi_hat(xi) = rho_hat(xi)/|xi|^2``
     for ``xi != 0`` and ``phi_hat(0) = 0``; the solve is spectrally exact.
+    A mean above ``1e-8`` of the density's L^2 norm is flagged and warned.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != spatial.shape:
@@ -40,7 +41,7 @@ def solve_potential(spatial, rho, warn_mean_tol=1e-8):
     mean = float(rho_hat[(0,) * spatial.dim_x].real)
     rho_scale = math.sqrt(float(np.sum(rho**2)) * spatial.cell_volume)
     # absolute floor keeps roundoff-level means of near-zero densities quiet
-    flagged = abs(mean) > max(warn_mean_tol * rho_scale, 1e-13)
+    flagged = abs(mean) > max(1e-8 * rho_scale, 1e-13)
     if flagged:
         warnings.warn(
             f"charge density has nonzero mean {mean:.3e}; projecting it out",

@@ -26,11 +26,38 @@ from .grid import (
 )
 
 _CHECKPOINT_FORMAT = 1
+_V_AXES = (-3, -2, -1)
 
 
 def maxwellian(velocity_grid):
     """The reference Maxwellian sampled on the velocity nodes."""
     return (2.0 * math.pi) ** (-1.5) * np.exp(-0.5 * velocity_grid.speed_squared())
+
+
+def invariant_moments(velocity_grid, f):
+    """``int psi f dv`` for the collision invariants ``psi = 1, v_1, v_2, v_3,
+    |v|^2``, stacked on a new leading axis.
+
+    The integrals reduce over the trailing three (velocity) axes of ``f``, so
+    a phase-space field gives one spatial field per invariant.
+    """
+    psi = [velocity_grid.coordinate(j) for j in range(3)]
+    psi.append(velocity_grid.speed_squared())
+    moments = [np.sum(f, axis=_V_AXES)]
+    moments += [np.sum(f * p, axis=_V_AXES) for p in psi]
+    return np.stack(moments) * velocity_grid.node_weight
+
+
+def conserved_moments(velocity_grid, f_plus, f_minus):
+    """Velocity integrals of the pair's conserved densities, as a list.
+
+    The mass of each species, then the momentum and energy moments of
+    ``f_plus + f_minus``; each reduces over the trailing velocity axes.
+    """
+    w = velocity_grid.node_weight
+    both = invariant_moments(velocity_grid, f_plus + f_minus)
+    return [np.sum(f_plus, axis=_V_AXES) * w,
+            np.sum(f_minus, axis=_V_AXES) * w, *both[1:]]
 
 
 class SystemState:
@@ -212,17 +239,10 @@ class ConservedQuantities:
     @classmethod
     def of(cls, state):
         g = state.grid
-        s = state.f_plus + state.f_minus
-        ve = g.velocity
-        mass_p = integrate_x(g, integrate_v(g, state.f_plus))
-        mass_m = integrate_x(g, integrate_v(g, state.f_minus))
-        mom = np.array([
-            integrate_x(g, integrate_v(g, ve.coordinate(j) * s))
-            for j in range(3)
-        ])
-        kinetic = integrate_x(g, integrate_v(g, ve.speed_squared() * s))
+        m = [integrate_x(g, x) for x in conserved_moments(
+            g.velocity, state.f_plus, state.f_minus)]
         field = poisson.field_energy(g.spatial, state.phi)
-        return cls(mass_p, mass_m, mom, kinetic + field, kinetic)
+        return cls(m[0], m[1], np.array(m[2:5]), m[5] + field, m[5])
 
 
 @dataclass

@@ -16,7 +16,13 @@ import numpy as np
 from .grid import l2_norm
 from .landau import q_landau_direct, q_landau_fft
 from .oracle import random_bandlimited_v
-from .state import SystemState, maxwellian, project_P, project_Pi
+from .state import (
+    SystemState,
+    invariant_moments,
+    maxwellian,
+    project_P,
+    project_Pi,
+)
 from .weights import weight_inequality_suite
 
 FFT_ORACLE_TOL = 1e-8
@@ -61,7 +67,8 @@ def mass_moment_error(tables, rng, pairs):
 
 def corrected_moment_error(corrector, rhs_plus, rhs_minus):
     """Largest species-summed momentum/energy moment of corrected output."""
-    mom = corrector.moments(rhs_plus) + corrector.moments(rhs_minus)
+    ve = corrector.velocity_grid
+    mom = invariant_moments(ve, rhs_plus) + invariant_moments(ve, rhs_minus)
     return float(np.max(np.abs(mom[1:])))
 
 

@@ -170,13 +170,14 @@ def _order_pairs():
             for b in range(WEIGHT_MAX_ORDER + 1 - a)]
 
 
-def weight_inequality_suite(spec, sample_points, r_override=None, slack=1e-12):
+def weight_inequality_suite(spec, sample_points, r_override=None):
     """Check the weight-family inequalities pointwise at sampled velocities.
 
     ``sample_points`` is an (N, 3) array.  Returns a list of
     :class:`InequalityResult`, one per inequality instance.  ``r_override``
     substitutes a different additive constant r (e.g. ``2q`` without the +6)
-    to exhibit how the lower-bound inequality fails.
+    to exhibit how the lower-bound inequality fails.  An instance fails when
+    ``lhs`` exceeds ``rhs`` by more than ``1e-12`` of the larger of the two.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     br = np.sqrt(1.0 + np.sum(pts**2, axis=1))
@@ -188,7 +189,7 @@ def weight_inequality_suite(spec, sample_points, r_override=None, slack=1e-12):
 
     def record(name, lhs, rhs):
         margin = rhs - lhs
-        tol = slack * np.maximum(np.abs(lhs), np.abs(rhs))
+        tol = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
         failed = int(np.sum(margin < -tol))
         results.append(InequalityResult(name, lhs.size, failed,
                                         float(np.min(margin))))
@@ -307,10 +308,10 @@ def mixed_derivatives(grid, values, indices):
 # ---- energy and dissipation functionals ----------------------------------------
 
 
-def norm_X_k(state, spec, ladder=None, phi_override=None):
+def norm_X_k(state, spec, phi_override=None):
     """Weighted energy functional X_k (a sum of squared weighted norms)."""
     g = state.grid
-    ladder = ladder or WeightLadderConstants()
+    ladder = WeightLadderConstants()
     phi = state.phi if phi_override is None else phi_override
     indices = mixed_indices(g.dim_x)
     total = 0.0
@@ -324,20 +325,16 @@ def norm_X_k(state, spec, ladder=None, phi_override=None):
     return total
 
 
-def norm_Y_k(state, spec, surrogate=False):
+def norm_Y_k(state, spec):
     """Weighted dissipation functional Y_k (Landau model).
 
-    For the Boltzmann model the true dissipation norm ``H^s_{k+gamma/2}`` has
-    no dynamical role here; a frequency-multiplier surrogate is returned only
-    when ``surrogate=True`` and refused otherwise.
+    For the Boltzmann model the dissipation norm ``H^s_{k+gamma/2}`` has no
+    dynamical role here, and ``Y_k`` is refused.
     """
     g = state.grid
     if spec.model != "landau":
-        if not surrogate:
-            raise ParameterError(
-                "Y_k dissipation norm is implemented for the Landau model; "
-                "pass surrogate=True for the diagnostic Boltzmann surrogate")
-        return _boltzmann_Hs_surrogate_pair(state, spec)
+        raise ParameterError(
+            "Y_k dissipation norm is implemented for the Landau model only")
     indices = mixed_indices(g.dim_x)
     wx = g.spatial.cell_volume
     total = 0.0
@@ -348,24 +345,6 @@ def norm_Y_k(state, spec, surrogate=False):
             u = weight_field(spec, g.velocity, a, b) * der
             d_norm = landau_D_norm(u, g.velocity, spec.gamma)
             total += float(np.sum(d_norm**2)) * wx
-    return total
-
-
-def _boltzmann_Hs_surrogate_pair(state, spec):
-    """Diagnostic-only surrogate: <eta>^s multiplier norm of <v>^{k+g/2} f.
-
-    No dynamical role; labeled surrogate because Boltzmann collision dynamics
-    is out of scope.
-    """
-    g = state.grid
-    wfield = bracket(g.velocity) ** (spec.k + 0.5 * spec.gamma)
-    eta2 = wavenumber_squared(g.velocity, g.dim_x + 3)
-    mult2 = (1.0 + eta2) ** spec.s
-    vol = g.spatial.volume * (2.0 * g.velocity.cutoff_L) ** 3
-    total = 0.0
-    for f in (state.f_plus, state.f_minus):
-        hat = forward_transform(g, wfield * f)
-        total += float(np.sum(mult2 * np.abs(hat) ** 2)) * vol
     return total
 
 
@@ -381,10 +360,10 @@ def h3_grad_norm_sq(spatial, phi):
     return total
 
 
-def functional_E_k(state, spec, ladder=None):
+def functional_E_k(state, spec):
     """Instant energy functional ``E_k = X_k + ||grad phi||^2_{H^3}``."""
-    return norm_X_k(state, spec, ladder) + h3_grad_norm_sq(state.grid.spatial,
-                                                           state.phi)
+    return norm_X_k(state, spec) + h3_grad_norm_sq(state.grid.spatial,
+                                                   state.phi)
 
 
 def functional_D_k(state, spec):

@@ -97,6 +97,25 @@ dt = -1.0
                                                "flags.mode": "operator_test"})
         assert cfg.dt == 0.5 and cfg.mode == "operator_test"
 
+    def test_unknown_sections_and_keys_are_violations(self):
+        text = MINIMAL + """
+[time]
+dtt = 0.5
+
+[flags]
+fit_mode = auto
+
+[bogus]
+x = 1
+"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, overrides={"grid.nv": "8", "bogus.y": "2"})
+        msgs = err.value.violations
+        for name in ("time.dtt", "flags.fit_mode", "[bogus]", "grid.nv",
+                     "bogus.y"):
+            assert any(v.startswith(name + ":") for v in msgs), name
+        assert len(msgs) == 5
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_thread_count_is_a_violation(self, monkeypatch, value):
         monkeypatch.setenv("VPLANDAU_THREADS", value)
@@ -256,6 +275,21 @@ mode = linearized
         assert summary["conservation_max_drift"] > 1e-8
         assert not summary["flags"]["conservation"] and not passed
 
+    def test_linearized_mode_uses_the_configured_scheme(
+            self, tmp_path, monkeypatch):
+        from vplandau import dynamics
+        from vplandau.experiments import run_experiment
+
+        def refuse(tables):
+            raise AssertionError("strang_rk4 needs no stiffness estimate")
+
+        monkeypatch.setattr(dynamics, "collision_spectral_radius", refuse)
+        cfg = parse_config(
+            self.LINEARIZED + f"[output]\ndirectory = {tmp_path}\n",
+            overrides={"time.scheme": "strang_rk4"})
+        summary, _ = run_experiment(cfg)
+        assert summary["config"]["scheme"] == "strang_rk4"
+
 
 class TestCLI:
     def _run(self, *args, env=None):
@@ -324,3 +358,16 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         fit = json.loads(proc.stdout)
         assert fit["rate"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_fit_reads_a_linearized_series(self, tmp_path, capsys):
+        from vplandau import cli
+
+        ini = tmp_path / "lin.ini"
+        ini.write_text(TestExperimentDrivers.LINEARIZED
+                       + f"[output]\ndirectory = {tmp_path}\n")
+        cli.main(["linearized", str(ini)])
+        capsys.readouterr()
+        csv = str(tmp_path / "series.csv")
+        assert cli.main(["fit", csv, "--column", "micro_norm"]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert fit["n_samples"] >= 20

@@ -8,6 +8,7 @@ import pytest
 
 from vplandau import landau, weights
 from vplandau.diagnostics import (
+    CSV_COLUMNS,
     Recorder,
     entropy,
     fit_decay,
@@ -175,8 +176,10 @@ class TestRecorder:
         path = tmp_path / "series.csv"
         rec.to_csv(path)
         data = read_series_csv(path)
+        assert list(data) == CSV_COLUMNS
         assert np.array_equal(data["time"], times)
         assert np.array_equal(data["e_k"], rec.series("e_k"))
+        assert np.array_equal(data["mass_plus"], rec.series("mass_plus"))
 
     def test_same_time_record_has_zero_balance(self, small_grid):
         spec = weights.WeightSpec("landau", -3.0, 10.0)

@@ -227,10 +227,9 @@ class TestWorkers:
 
 class TestAdvance:
     def test_pure_transport_analytic(self, small_grid):
-        st = single_mode_state(small_grid)
-        cfg = TimeStepConfig(dt=0.05, collision_enabled=False,
-                             field_enabled=False)
-        out = advance(st, 1.0, cfg)
+        out = single_mode_state(small_grid)
+        for _ in range(20):
+            out = transport_step(out, 0.05)
         x = small_grid.spatial.coordinate(0)[:, None, None, None]
         v1 = small_grid.velocity.coordinate(0)
         mu = maxwellian(small_grid.velocity)
