@@ -6,14 +6,9 @@ sizes, positivity of the full distribution, the H^3 field norm, and the
 continuity-equation residual between consecutive states.  Post-run analysis
 fits exponential or algebraic decay envelopes to the energy series.
 
-CSV layout (one row per record, fixed column order):
-
-    time, mass_plus, mass_minus, momentum_1..3, energy_total, e_k, d_k,
-    norm_pf, norm_ipf, min_fplus, min_fminus, grad_phi_h3,
-    balance_plus, balance_minus, picard_iterations, epsilon_op
-
-Floats are written with ``repr`` (shortest round-trip), so outputs are
-byte-identical for identical runs.
+CSV layout: one row per record, one column per :class:`DiagnosticsRecord`
+field, in field order (``CSV_COLUMNS``).  Floats are written with ``repr``
+(shortest round-trip), so outputs are byte-identical for identical runs.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,13 +32,6 @@ from .state import (
     project_Pi,
 )
 
-CSV_COLUMNS = [
-    "time", "mass_plus", "mass_minus", "momentum_1", "momentum_2",
-    "momentum_3", "energy_total", "e_k", "d_k", "norm_pf", "norm_ipf",
-    "min_fplus", "min_fminus", "grad_phi_h3", "balance_plus",
-    "balance_minus", "picard_iterations", "epsilon_op",
-]
-
 FIT_MIN_SAMPLES = 20
 
 
@@ -52,7 +40,9 @@ class DiagnosticsRecord:
     time: float
     mass_plus: float
     mass_minus: float
-    momentum: tuple
+    momentum_1: float
+    momentum_2: float
+    momentum_3: float
     energy_total: float
     e_k: float
     d_k: float
@@ -67,18 +57,12 @@ class DiagnosticsRecord:
     epsilon_op: float = 0.0
 
     def row(self):
-        vals = [self.time, self.mass_plus, self.mass_minus,
-                *self.momentum, self.energy_total, self.e_k, self.d_k,
-                self.norm_pf, self.norm_ipf, self.min_fplus, self.min_fminus,
-                self.grad_phi_h3, self.balance_plus, self.balance_minus,
-                self.picard_iterations, self.epsilon_op]
-        out = []
-        for v in vals:
-            if isinstance(v, (float, np.floating)):
-                out.append(repr(float(v)))  # shortest round-trip plain float
-            else:
-                out.append(str(v))
-        return out
+        # floats as their shortest round-trip plain repr
+        return [repr(float(v)) if isinstance(v, (float, np.floating))
+                else str(v) for v in vars(self).values()]
+
+
+CSV_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def positivity_monitor(state):
@@ -178,7 +162,9 @@ class Recorder:
             time=state.time,
             mass_plus=q.mass_plus,
             mass_minus=q.mass_minus,
-            momentum=tuple(q.momentum),
+            momentum_1=q.momentum[0],
+            momentum_2=q.momentum[1],
+            momentum_3=q.momentum[2],
             energy_total=q.energy,
             e_k=e_k,
             d_k=d_k,

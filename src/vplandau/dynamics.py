@@ -24,11 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
+from numpy.polynomial import chebyshev as cheb
 
 from . import landau
 from .errors import PicardConvergenceError
 from .grid import along, l2_norm, v_derivative_trailing
 from .state import maxwellian
+
+RKC_DAMPING = 2.0 / 13.0  # eps of the damped Chebyshev argument w0
+RKC_SAFETY = 0.9  # share of the real stability interval a step may use
 
 
 @dataclass
@@ -163,36 +167,31 @@ def _rk4_pair(rhs, fp, fm, dt):
             fm + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
 
 
-def rkc_coefficients(s, eps=2.0 / 13.0):
+def _chebyshev(j, x, order=0):
+    """The ``order``-th derivative of the Chebyshev polynomial ``T_j`` at x."""
+    c = np.zeros(j + 1)
+    c[j] = 1.0
+    return cheb.chebval(x, cheb.chebder(c, order))
+
+
+def _rkc_arguments(s):
+    """``(w0, w1)`` of the s-stage scheme's Chebyshev argument ``w0 + w1 z``."""
+    w0 = 1.0 + RKC_DAMPING / s**2
+    return w0, _chebyshev(s, w0, 1) / _chebyshev(s, w0, 2)
+
+
+def rkc_coefficients(s):
     """Coefficients of the s-stage second-order Runge-Kutta-Chebyshev scheme.
 
     Stability polynomial ``R(z) = a_s + b_s T_s(w0 + w1 z)`` with damping
-    ``eps``; the real stability interval grows like ``~0.65 s^2``.  Returns
-    (mu_tilde_1, and per-stage (mu_j, nu_j, mu_tilde_j, gamma_tilde_j)).
+    ``RKC_DAMPING``; the real stability interval grows like ``~0.65 s^2``.
+    Returns (mu_tilde_1, and per-stage (mu_j, nu_j, mu_tilde_j,
+    gamma_tilde_j)).
     """
-    import numpy.polynomial.chebyshev as cheb
-
-    w0 = 1.0 + eps / s**2
-
-    def t(j, x):
-        c = np.zeros(j + 1)
-        c[j] = 1.0
-        return cheb.chebval(x, c)
-
-    def dt_(j, x):
-        c = np.zeros(j + 1)
-        c[j] = 1.0
-        return cheb.chebval(x, cheb.chebder(c))
-
-    def ddt(j, x):
-        c = np.zeros(j + 1)
-        c[j] = 1.0
-        return cheb.chebval(x, cheb.chebder(c, 2))
-
-    w1 = dt_(s, w0) / ddt(s, w0)
+    w0, w1 = _rkc_arguments(s)
     b = np.zeros(s + 1)
     for j in range(2, s + 1):
-        b[j] = ddt(j, w0) / dt_(j, w0) ** 2
+        b[j] = _chebyshev(j, w0, 2) / _chebyshev(j, w0, 1) ** 2
     b[0] = b[2]
     b[1] = b[2]
     mu_t1 = b[1] * w1
@@ -201,7 +200,7 @@ def rkc_coefficients(s, eps=2.0 / 13.0):
         mu_j = 2.0 * b[j] * w0 / b[j - 1]
         nu_j = -b[j] / b[j - 2]
         mu_tj = 2.0 * b[j] * w1 / b[j - 1]
-        a_jm1 = 1.0 - b[j - 1] * t(j - 1, w0)
+        a_jm1 = 1.0 - b[j - 1] * _chebyshev(j - 1, w0)
         gamma_tj = -a_jm1 * mu_tj
         stages.append((mu_j, nu_j, mu_tj, gamma_tj))
     return mu_t1, stages
@@ -231,25 +230,20 @@ def rkc_step_pair(rhs, fp, fm, dt, s):
     return y_cur
 
 
-def rkc_real_stability(s, eps=2.0 / 13.0):
+def rkc_real_stability(s):
     """Exact real-axis stability bound of the s-stage RKC scheme.
 
     The stability polynomial is ``a_s + b_s T_s(w0 + w1 z)``; it stays in
     [-1, 1] exactly while the Chebyshev argument does, i.e. for
     ``z >= -(1 + w0)/w1`` (asymptotically ~0.65 s^2).
     """
-    import numpy.polynomial.chebyshev as cheb
-
-    w0 = 1.0 + eps / s**2
-    c = np.zeros(s + 1)
-    c[s] = 1.0
-    w1 = cheb.chebval(w0, cheb.chebder(c)) / cheb.chebval(w0, cheb.chebder(c, 2))
+    w0, w1 = _rkc_arguments(s)
     return (1.0 + w0) / w1
 
 
-def rkc_stages_for(dt, spectral_radius, safety=0.9):
-    """Smallest stage count covering ``dt * spectral_radius`` on the real axis."""
-    target = dt * spectral_radius / safety
+def rkc_stages_for(dt, spectral_radius):
+    """Smallest stage count covering ``dt * spectral_radius / RKC_SAFETY``."""
+    target = dt * spectral_radius / RKC_SAFETY
     s = 2
     while rkc_real_stability(s) < target:
         s += 1

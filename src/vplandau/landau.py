@@ -54,6 +54,17 @@ def _difference_lattice(velocity_grid):
     return (((m + n) % (2 * n)) - n) * h
 
 
+def _centred_lattice(velocity_grid):
+    """Offsets ``(m - n_v + 1) h``, m < 2 n_v - 1, of the centred lattice."""
+    n = velocity_grid.n_v
+    return (np.arange(2 * n - 1) - (n - 1)) * velocity_grid.spacing
+
+
+def _axes(off):
+    """The 1-D offsets ``off`` laid along each lattice axis, broadcastable."""
+    return off[:, None, None], off[None, :, None], off[None, None, :]
+
+
 def _base_kernel_components(gamma, u1, u2, u3, origin_diag):
     """Sampled phi^{ij} (6 entries) and -2|u|^gamma u_i (3 entries).
 
@@ -92,26 +103,26 @@ def _halfline_gaussian_moment(a, sigma):
 def _shell_masks(u1, u2, u3, h):
     """Node masks of the correction shells on a sampling lattice.
 
-    axis:  +-h e_i;  face: two coordinates at +-h, one zero;  axis2:
-    +-2h e_i;  mixed: one coordinate zero, the others at (+-h, +-2h).
+    axis:  +-h e_i;  face: two coordinates at +-h, one zero;  mixed: one
+    coordinate zero, the others at (+-h, +-2h).  Per axis i: ``axis_i`` is
+    +-h e_i, ``face_i`` the face nodes with u_i = +-h, ``axis2_i`` +-2h e_i.
     """
     uc = (u1, u2, u3)
     at_h = [np.abs(np.abs(c) - h) < 0.25 * h for c in uc]
     at_2h = [np.abs(np.abs(c) - 2 * h) < 0.25 * h for c in uc]
     zero = [np.abs(c) < 0.25 * h for c in uc]
-    axis = face = axis2 = mixed = None
+    axis_i, axis2_i, face_w, mixed_w = [], [], [], []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        ax_i = at_h[i] & zero[j] & zero[k]
-        ax2_i = at_2h[i] & zero[j] & zero[k]
-        fc_i = zero[i] & at_h[j] & at_h[k]
-        mx_i = zero[i] & ((at_h[j] & at_2h[k]) | (at_2h[j] & at_h[k]))
-        axis = ax_i if axis is None else (axis | ax_i)
-        axis2 = ax2_i if axis2 is None else (axis2 | ax2_i)
-        face = fc_i if face is None else (face | fc_i)
-        mixed = mx_i if mixed is None else (mixed | mx_i)
-    return {"at_h": at_h, "at_2h": at_2h, "zero": zero, "axis": axis,
-            "face": face, "axis2": axis2, "mixed": mixed}
+        axis_i.append(at_h[i] & zero[j] & zero[k])
+        axis2_i.append(at_2h[i] & zero[j] & zero[k])
+        face_w.append(zero[i] & at_h[j] & at_h[k])
+        mixed_w.append(zero[i] & ((at_h[j] & at_2h[k]) | (at_2h[j] & at_h[k])))
+    face = face_w[0] | face_w[1] | face_w[2]
+    return {"zero": zero, "axis": axis_i[0] | axis_i[1] | axis_i[2],
+            "face": face, "mixed": mixed_w[0] | mixed_w[1] | mixed_w[2],
+            "axis_i": axis_i, "axis2_i": axis2_i,
+            "face_i": [face & at_h[i] for i in range(3)]}
 
 
 def _inplane_parts(gamma, u1, u2, u3, masks, h, phis):
@@ -163,12 +174,8 @@ def _calibration(gamma, velocity_grid):
     key = (float(gamma), velocity_grid.n_v, float(velocity_grid.cutoff_L))
     if key in _calibration_cache:
         return _calibration_cache[key]
-    n = velocity_grid.n_v
     h = velocity_grid.spacing
-    off = (np.arange(2 * n - 1) - (n - 1)) * h
-    u1 = off[:, None, None]
-    u2 = off[None, :, None]
-    u3 = off[None, None, :]
+    u1, u2, u3 = _axes(_centred_lattice(velocity_grid))
     usq = u1**2 + u2**2 + u3**2
     phis, derivs = _base_kernel_components(gamma, u1, u2, u3, 0.0)
     w = h**3
@@ -207,9 +214,7 @@ def _calibration(gamma, velocity_grid):
     # Odd system: probes (u1 W, u1 |u|^2 W, u1 (u1^2 - 3 u2^2) W) against
     # (d_axis, d_face, d_axis2) with sign pattern sign(u1); the isotropic
     # kernel has no ell=3 angular content, so the third exact moment is 0.
-    axis1 = masks["at_h"][0] & masks["zero"][1] & masks["zero"][2]
-    face1 = masks["face"] & masks["at_h"][0]
-    axis2_1 = masks["at_2h"][0] & masks["zero"][1] & masks["zero"][2]
+    shells = (masks["axis_i"][0], masks["face_i"][0], masks["axis2_i"][0])
     sgn = np.sign(u1)
     probes_d = (u1 * gauss, u1 * usq * gauss,
                 u1 * (u1**2 - 3.0 * u2**2) * gauss)
@@ -217,9 +222,8 @@ def _calibration(gamma, velocity_grid):
     resp_o = np.zeros((3, 3))
     rhs_o = np.zeros(3)
     for row, p in enumerate(probes_d):
-        resp_o[row, 0] = float(np.sum(np.where(axis1, sgn * p, 0.0))) * w
-        resp_o[row, 1] = float(np.sum(np.where(face1, sgn * p, 0.0))) * w
-        resp_o[row, 2] = float(np.sum(np.where(axis2_1, sgn * p, 0.0))) * w
+        for col, shell in enumerate(shells):
+            resp_o[row, col] = float(np.sum(np.where(shell, sgn * p, 0.0))) * w
         rhs_o[row] = exact_d[row] - float(np.sum(derivs[0] * p)) * w
     odd = _solve_calibration(resp_o, rhs_o)
     _calibration_cache[key] = (tuple(float(x) for x in even),
@@ -242,14 +246,16 @@ def _solve_calibration(resp, rhs):
     return sol
 
 
-def _kernel_components(gamma, u1, u2, u3, velocity_grid):
+def _kernel_components(gamma, off, velocity_grid):
     """Corrected kernel samples shared by the FFT path and the oracle.
 
+    The samples sit on the lattice with offsets ``off`` along each axis.
     For ``gamma >= 0`` the kernels are continuous (value 0 at the origin by
     the limit) and need no correction.  For ``gamma < 0`` the calibrated
     corrections of :func:`_calibration` are applied near the origin.
     """
     h = velocity_grid.spacing
+    u1, u2, u3 = _axes(off)
     if gamma >= 0:
         return _base_kernel_components(gamma, u1, u2, u3, 0.0)
     even, odd = _calibration(gamma, velocity_grid)
@@ -265,16 +271,11 @@ def _kernel_components(gamma, u1, u2, u3, velocity_grid):
             + th_face * in_face[k]
             + th_mixed * in_mix[k]
         )
-    uc = (u1, u2, u3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        axis_i = masks["at_h"][i] & masks["zero"][j] & masks["zero"][k]
-        face_i = masks["face"] & masks["at_h"][i]
-        axis2_i = masks["at_2h"][i] & masks["zero"][j] & masks["zero"][k]
-        sgn_i = np.sign(uc[i])
+    for i, u in enumerate((u1, u2, u3)):
         derivs[i] = derivs[i] + (
-            d_axis * axis_i + d_face * face_i + d_axis2 * axis2_i
-        ) * sgn_i
+            d_axis * masks["axis_i"][i] + d_face * masks["face_i"][i]
+            + d_axis2 * masks["axis2_i"][i]
+        ) * np.sign(u)
     return phis, derivs
 
 
@@ -307,14 +308,8 @@ class LandauKernelTables:
         ``2 n_v - 1`` physical offsets and the kernel arrays have shape
         ``(2 n_v - 1,)*3``.  Used by the direct oracle.
         """
-        n = self.velocity_grid.n_v
-        h = self.velocity_grid.spacing
-        off = (np.arange(2 * n - 1) - (n - 1)) * h
-        u1 = off[:, None, None]
-        u2 = off[None, :, None]
-        u3 = off[None, None, :]
-        phis, derivs = _kernel_components(self.gamma, u1, u2, u3,
-                                          self.velocity_grid)
+        off = _centred_lattice(self.velocity_grid)
+        phis, derivs = _kernel_components(self.gamma, off, self.velocity_grid)
         return off, phis, derivs
 
     def measure_epsilon_op(self):
@@ -332,11 +327,8 @@ def build_kernel_tables(gamma, velocity_grid, measure=True):
     """Build the padded-FFT kernel tables for ``gamma`` on ``velocity_grid``."""
     if not (-3.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [-3, 1], got {gamma}")
-    off = _difference_lattice(velocity_grid)
-    u1 = off[:, None, None]
-    u2 = off[None, :, None]
-    u3 = off[None, None, :]
-    phis, derivs = _kernel_components(gamma, u1, u2, u3, velocity_grid)
+    phis, derivs = _kernel_components(gamma, _difference_lattice(velocity_grid),
+                                      velocity_grid)
     kernel_hat = sfft.rfftn(np.stack(phis + derivs), axes=(-3, -2, -1))
     kernel_hat.flags.writeable = False
     tables = LandauKernelTables(gamma=gamma, velocity_grid=velocity_grid,
@@ -496,12 +488,8 @@ def q_landau_direct(g, f, gamma, velocity_grid, derivative_on="kernel"):
         )
     if not (-3.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [-3, 1], got {gamma}")
-    h = velocity_grid.spacing
-    off = (np.arange(2 * velocity_grid.n_v - 1) - (velocity_grid.n_v - 1)) * h
-    u1 = off[:, None, None]
-    u2 = off[None, :, None]
-    u3 = off[None, None, :]
-    phis, derivs = _kernel_components(gamma, u1, u2, u3, velocity_grid)
+    phis, derivs = _kernel_components(gamma, _centred_lattice(velocity_grid),
+                                      velocity_grid)
     w = velocity_grid.node_weight
     df = [_v_derivative(velocity_grid, f, j) for j in range(3)]
     if derivative_on == "g":

@@ -40,37 +40,52 @@ from .grid import (
 from .poisson import grad
 
 WEIGHT_MAX_ORDER = 2
+MODELS = ("landau", "boltzmann")
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """Model, exponents and weight index for the polynomial weight family."""
 
-    model: str  # 'landau' or 'boltzmann'
+    model: str  # one of MODELS
     gamma: float
     k: float
     s: float | None = None
 
     def __post_init__(self):
-        if self.model not in ("landau", "boltzmann"):
-            raise ParameterError(f"unknown model {self.model!r}")
-        if self.model == "landau":
-            if not (-3.0 <= self.gamma <= 1.0):
-                raise ParameterError(
-                    f"Landau requires gamma in [-3, 1], got {self.gamma}")
+        broken = self.violations(self.model, self.gamma, self.k, self.s)
+        if broken:
+            raise ParameterError("; ".join(broken))
+
+    @staticmethod
+    def violations(model, gamma, k, s=None):
+        """Every model constraint that ``(model, gamma, k, s)`` breaks.
+
+        Each message starts with the constraint's name: ``model name``,
+        ``gamma range``, ``s range``, ``gamma+2s`` or ``k range``.
+        """
+        if model not in MODELS:
+            return [f"model name: unknown model {model!r}"]
+        out = []
+        if model == "landau":
+            if not (-3.0 <= gamma <= 1.0):
+                out.append(f"gamma range: Landau requires gamma in [-3, 1], "
+                           f"got {gamma}")
         else:
-            if self.s is None:
-                raise ParameterError("Boltzmann weights require s")
-            if not (-3.0 < self.gamma <= 1.0):
-                raise ParameterError(
-                    f"Boltzmann requires gamma in (-3, 1], got {self.gamma}")
-            if not (0.5 <= self.s < 1.0):
-                raise ParameterError(f"s must lie in [1/2, 1), got {self.s}")
-            if self.gamma + 2.0 * self.s <= -1.0:
-                raise ParameterError(
-                    f"gamma + 2s must exceed -1, got {self.gamma + 2 * self.s}")
-        if self.k < 0:
-            raise ParameterError("k must be nonnegative")
+            if not (-3.0 < gamma <= 1.0):
+                out.append(f"gamma range: Boltzmann requires gamma in "
+                           f"(-3, 1], got {gamma}")
+            if s is None:
+                out.append("s range: Boltzmann weights require s")
+            else:
+                if not (0.5 <= s < 1.0):
+                    out.append(f"s range: s must lie in [1/2, 1), got {s}")
+                if gamma + 2.0 * s <= -1.0:
+                    out.append(
+                        f"gamma+2s: must exceed -1, got {gamma + 2.0 * s}")
+        if k < 0:
+            out.append(f"k range: k must be nonnegative, got {k}")
+        return out
 
     @property
     def q(self):

@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vplandau.config import _DEFAULTS, RunConfig, load_config, parse_config
+from vplandau.config import _KEYS, RunConfig, load_config, parse_config
 from vplandau.errors import ConfigError, InitialConditionError
 from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid, integrate_v
 from vplandau.initial import make_initial_condition
@@ -35,9 +37,9 @@ class TestParseConfig:
         assert cfg.phase_grid().velocity.n_v == 16
 
     def test_fields_are_the_defaults_keys(self):
-        # _DEFAULTS is the one copy of the defaults; workers comes from the
+        # _KEYS is the one list of keys; workers comes from the
         # VPLANDAU_THREADS environment variable
-        keys = [key for section in _DEFAULTS.values() for key in section]
+        keys = [key for section in _KEYS.values() for key in section]
         assert sorted(f.name for f in fields(RunConfig)) == sorted(
             keys + ["workers"])
 
@@ -115,6 +117,27 @@ x = 1
                      "bogus.y"):
             assert any(v.startswith(name + ":") for v in msgs), name
         assert len(msgs) == 5
+
+    def test_percent_is_literal(self):
+        cfg = parse_config(MINIMAL + "[output]\ndirectory = out%1\n")
+        assert cfg.directory == "out%1"
+        cfg = parse_config(MINIMAL, overrides={"output.directory": "a%b"})
+        assert cfg.directory == "a%b"
+
+    @pytest.mark.parametrize("dotted", [
+        "model.model", "time.scheme", "initial.family", "initial.profile",
+        "initial.species", "flags.mode"])
+    def test_unknown_choice_is_a_violation(self, dotted):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides={dotted: "bogus"})
+        assert [v for v in err.value.violations
+                if v.startswith(dotted + ":")], err.value.violations
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(block)
+        assert (cfg.model, cfg.dt, cfg.record_every) == ("landau", 0.005, 1)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_thread_count_is_a_violation(self, monkeypatch, value):

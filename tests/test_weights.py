@@ -66,6 +66,16 @@ class TestWeightSpec:
         with pytest.raises(ParameterError):
             weight_exponent(WeightSpec("landau", 0.0, 10.0), 2, 1)
 
+    def test_every_broken_constraint_is_named(self):
+        broken = WeightSpec.violations("boltzmann", -3.0, -1.0, s=0.25)
+        assert [v.split(":")[0] for v in broken] == [
+            "gamma range", "s range", "gamma+2s", "k range"]
+        with pytest.raises(ParameterError, match="s range.*gamma\\+2s"):
+            WeightSpec("boltzmann", -2.0, 17.0, s=0.4)
+        assert WeightSpec.violations("maxwell", 0.0, 10.0) == [
+            "model name: unknown model 'maxwell'"]
+        assert WeightSpec.violations("landau", 1.0, 0.0) == []
+
     def test_weight_at_least_one(self, rng):
         pts = rng.uniform(-8, 8, size=(200, 3))
         br = np.sqrt(1 + np.sum(pts**2, axis=1))
