@@ -135,6 +135,20 @@ def _convert(convert, text):
     return text.strip()
 
 
+def _unreadable(exc):
+    """The violation, naming its line, of text ``configparser`` cannot read."""
+    if isinstance(exc, configparser.DuplicateSectionError):
+        what = f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        what = f"key {exc.section}.{exc.option} appears twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        what = "text before the first section header"
+    else:
+        what = "neither a section header nor key = value"
+    line = getattr(exc, "lineno", None) or exc.errors[0][0]
+    return f"line {line}: {what}"
+
+
 def parse_config(text, overrides=None):
     """Parse and validate configuration text; collect every violation.
 
@@ -147,7 +161,10 @@ def parse_config(text, overrides=None):
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.read_dict({section: {key: entry[0] for key, entry in keys.items()}
                       for section, keys in _KEYS.items()})
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError([_unreadable(exc)]) from None
     violations = [f"[{section}]: unknown section" for section in
                   parser.sections() if section not in _KEYS]
     violations += [f"{section}.{key}: unknown key" for section in _KEYS

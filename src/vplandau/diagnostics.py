@@ -146,11 +146,9 @@ class Recorder:
 
     def record_state(self, state, picard_iterations=0):
         q = ConservedQuantities.of(state)
-        e_k = weights.functional_E_k(state, self.spec)
-        if self.compute_d_k and self.spec.model == "landau":
-            d_k = weights.functional_D_k(state, self.spec)
-        else:
-            d_k = 0.0
+        e_k, d_k, h3 = weights.energy_dissipation(
+            state, self.spec,
+            with_d_k=self.compute_d_k and self.spec.model == "landau")
         n_p, n_i = projection_split_norms(state)
         pos = positivity_monitor(state)
         if state.time == self._prev_time:
@@ -172,7 +170,7 @@ class Recorder:
             norm_ipf=n_i,
             min_fplus=pos["plus"][0],
             min_fminus=pos["minus"][0],
-            grad_phi_h3=weights.h3_grad_norm_sq(state.grid.spatial, state.phi),
+            grad_phi_h3=h3,
             balance_plus=bal[0],
             balance_minus=bal[1],
             picard_iterations=picard_iterations,

@@ -100,10 +100,14 @@ def operator_test(cfg):
 
 
 def _make_state(cfg, grid):
-    return initial.make_initial_condition(
+    """The configured initial state and the summary of its positivity rescue."""
+    state, halvings = initial.initial_condition_and_halvings(
         grid, family=cfg.family, amplitude=cfg.amplitude, modes=cfg.modes,
         profile=cfg.profile, tail_power=cfg.tail_power, species=cfg.species,
         seed=cfg.seed)
+    return state, {"requested_amplitude": cfg.amplitude,
+                   "effective_amplitude": cfg.amplitude / 2**halvings,
+                   "halvings": halvings}
 
 
 def nonlinear_run(cfg):
@@ -111,7 +115,7 @@ def nonlinear_run(cfg):
     grid = cfg.phase_grid()
     spec = cfg.weight_spec()
     tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
-    state = _make_state(cfg, grid)
+    state, rescue = _make_state(cfg, grid)
     recorder = diagnostics.Recorder(spec, state.clone(),
                                     cadence=cfg.record_every,
                                     epsilon_op=tables.epsilon_op)
@@ -166,6 +170,7 @@ def nonlinear_run(cfg):
         "records": len(recorder.records),
         "final_time": final.time,
         "flags": flags,
+        "positivity_rescue": rescue,
         "config": cfg.echo(),
     }
     passed = all(flags.values())
@@ -180,7 +185,7 @@ def linearized_run(cfg):
     grid = cfg.phase_grid()
     spec = cfg.weight_spec()
     tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
-    state = _make_state(cfg, grid)
+    state, rescue = _make_state(cfg, grid)
     result = diagnostics.linearized_decay_experiment(
         state, tables, spec, cfg.dt, cfg.t_final, cadence=cfg.record_every,
         transient_fraction=cfg.transient_fraction,
@@ -208,6 +213,7 @@ def linearized_run(cfg):
         > result.fit_exponential.r_squared,
         "conservation_max_drift": result.conservation_max_drift,
         "flags": flags,
+        "positivity_rescue": rescue,
         "config": cfg.echo(),
     }
     passed = all(flags.values())

@@ -108,12 +108,24 @@ def project_conservation(grid, f_plus, f_minus):
     return SystemState(grid, f_plus - corr_p, f_minus - corr_m)
 
 
-def make_initial_condition(grid, family="single_mode", amplitude=1e-3,
-                           modes=(1,), profile="maxwellian", tail_power=4.0,
-                           species="opposite", seed=0, max_halvings=10):
-    """Construct a conservation-compatible, positivity-checked initial state."""
+def make_initial_condition(grid, **options):
+    """Construct a conservation-compatible, positivity-checked initial state.
+
+    Takes the keyword arguments of :func:`initial_condition_and_halvings`.
+    """
+    return initial_condition_and_halvings(grid, **options)[0]
+
+
+def initial_condition_and_halvings(grid, family="single_mode", amplitude=1e-3,
+                                   modes=(1,), profile="maxwellian",
+                                   tail_power=4.0, species="opposite", seed=0,
+                                   max_halvings=10):
+    """The initial state and how often its amplitude was halved.
+
+    The effective amplitude is ``amplitude / 2**halvings``.
+    """
     if amplitude == 0.0:
-        return SystemState.zero(grid)
+        return SystemState.zero(grid), 0
     rng = np.random.default_rng(seed)
     pattern = _spatial_pattern(grid, family, modes, rng)
     prof = _velocity_profile(grid, profile, tail_power)
@@ -128,7 +140,7 @@ def make_initial_condition(grid, family="single_mode", amplitude=1e-3,
         min_full = min(float(np.min(mu + state.f_plus)),
                        float(np.min(mu + state.f_minus)))
         if min_full > 0.0:
-            return state
+            return state, attempt
         if attempt < max_halvings:
             warnings.warn(
                 f"initial data violates positivity (min mu+f = {min_full:.3e});"

@@ -23,7 +23,9 @@ the anisotropic gradient ``grad_tilde = P_v grad + <v> (I - P_v) grad``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 import scipy.fft as sfft
@@ -32,7 +34,6 @@ from .errors import ParameterError
 from .grid import (
     along,
     derivative_multiplier,
-    forward_transform,
     l2_norm,
     v_derivative_trailing,
     wavenumber_squared,
@@ -251,7 +252,8 @@ def anisotropic_gradient(velocity_grid, values):
 
     At the origin node the radial direction is taken as zero, which makes
     ``grad_tilde = <0> grad = grad`` there (the splitting is immaterial at
-    v = 0 since the bracket equals one).
+    v = 0 since the bracket equals one).  :func:`landau_D_norm` uses the
+    closed form of its square instead.
     """
     gradv = [v_derivative_trailing(velocity_grid, values, a) for a in range(3)]
     vs = [velocity_grid.coordinate(a) for a in range(3)]
@@ -264,19 +266,40 @@ def anisotropic_gradient(velocity_grid, values):
             for g, vh in zip(gradv, vhat)]
 
 
+@lru_cache(maxsize=None)
+def _dissipation_factors(velocity_grid, gamma):
+    """Read-only ``<v>^gamma``, ``<v>^(gamma+2)`` and the velocity axes."""
+    br2 = 1.0 + velocity_grid.speed_squared()
+    br_g = br2 ** (0.5 * gamma)
+    out = (br_g, br2 * br_g) + tuple(
+        along(velocity_grid.axis_nodes(), a, 3) for a in range(3))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _v_sum(a, b, weight):
+    """``sum_v a b weight`` over the trailing three axes, in one pass."""
+    return np.einsum("...ijk,...ijk,ijk->...", a, b, weight)
+
+
 def landau_D_norm(values, velocity_grid, gamma):
     """Landau dissipation norm ``||f <v>^{g/2}|| + ||grad_tilde f <v>^{g/2}||``.
 
     The norms reduce over the trailing three (velocity) axes, so a
-    phase-space field gives one value per spatial node.
+    phase-space field gives one value per spatial node.  The anisotropic
+    gradient enters through its square,
+    ``|grad_tilde f|^2 = <v>^2 |grad f|^2 + (1 - <v>^2) (v_hat . grad f)^2
+    = <v>^2 |grad f|^2 - (v . grad f)^2``, from the plain gradient.
     """
-    axes = (-3, -2, -1)
     w = velocity_grid.node_weight
-    br_g = bracket(velocity_grid) ** (0.5 * gamma)
-    first = np.sqrt(np.sum((values * br_g) ** 2, axis=axes) * w)
-    tilde = anisotropic_gradient(velocity_grid, values)
-    second = np.sqrt(sum(np.sum((t * br_g) ** 2, axis=axes) for t in tilde)
-                     * w)
+    br_g, br_g2, *vs = _dissipation_factors(velocity_grid, gamma)
+    first = np.sqrt(_v_sum(values, values, br_g) * w)
+    gradv = [v_derivative_trailing(velocity_grid, values, a) for a in range(3)]
+    radial = gradv[0] * vs[0] + gradv[1] * vs[1] + gradv[2] * vs[2]
+    tilde2 = sum(_v_sum(d, d, br_g2) for d in gradv) \
+        - _v_sum(radial, radial, br_g)
+    second = np.sqrt(tilde2 * w)
     return first + second
 
 
@@ -304,40 +327,85 @@ def mixed_indices(dim_x, max_order=WEIGHT_MAX_ORDER):
 
 
 def mixed_derivatives(grid, values, indices):
-    """Spectral ``d^alpha_beta`` for every index pair, from one forward FFT."""
-    hat0 = forward_transform(grid, values)
-    nd = grid.dim_x + 3
-    mults = {axis: [along(derivative_multiplier(grid.axis_grid(axis), o),
-                          axis, nd) for o in (1, 2)]
-             for axis in range(nd)}
+    """Spectral ``d^alpha_beta`` for every index pair, from one forward FFT.
+
+    Real transforms over every axis (``rfftn``/``irfftn``): the last axis
+    keeps the first ``n // 2 + 1`` entries of its
+    :func:`derivative_multiplier`.  The ``(0, 0)`` pair is ``values`` itself.
+    """
+    grid.check_shape(values, "xv")
+    shape = values.shape
+    nd = len(shape)
+    axes = tuple(range(nd))
+    hat0 = sfft.rfftn(values, axes=axes, norm="forward")
+    keep = shape[:-1] + (shape[-1] // 2 + 1,)
+    mults = {axis: [along(derivative_multiplier(grid.axis_grid(axis), o)
+                          [:keep[axis]], axis, nd) for o in (1, 2)]
+             for axis in axes}
     out = {}
     for al, be in indices:
-        hat = hat0
-        for axis, o in enumerate(al + be):
+        orders = al + be
+        if not any(orders):
+            out[(al, be)] = values
+            continue
+        mult = 1.0
+        for axis, o in enumerate(orders):
             if o:
-                hat = hat * mults[axis][o - 1]
-        out[(al, be)] = sfft.ifftn(hat, norm="forward").real
+                mult = mult * mults[axis][o - 1]
+        out[(al, be)] = sfft.irfftn(hat0 * mult, s=shape, axes=axes,
+                                    norm="forward", overwrite_x=True)
     return out
 
 
 # ---- energy and dissipation functionals ----------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _weight_fields(velocity_grid, spec):
+    """Read-only :func:`weight_field` for each ``(|alpha|, |beta|)``."""
+    out = {}
+    for a, b in _order_pairs():
+        out[(a, b)] = weight_field(spec, velocity_grid, a, b)
+        out[(a, b)].setflags(write=False)
+    return MappingProxyType(out)
+
+
+def _weighted_sums(state, spec, phi, with_y):
+    """``(X_k, Y_k)`` from one walk of the index pairs per species.
+
+    Each species is transformed once; every ``(alpha, beta)`` derivative
+    adds its ``X_k`` term and, ``with_y``, its ``Y_k`` term (else ``Y_k``
+    is 0.0).
+    """
+    g = state.grid
+    if with_y and spec.model != "landau":
+        raise ParameterError(
+            "Y_k dissipation norm is implemented for the Landau model only")
+    ladder = WeightLadderConstants()
+    wfs = _weight_fields(g.velocity, spec)
+    indices = mixed_indices(g.dim_x)
+    wx = g.spatial.cell_volume
+    x_total = y_total = 0.0
+    for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
+        # ladder constant times the squared weight of each X_k term
+        x_weights = {ab: ladder.value(*ab)
+                     * (exp_weight_field(spec, g, *ab, phi, sign) * wf) ** 2
+                     for ab, wf in wfs.items()}
+        for (al, be), der in mixed_derivatives(g, f, indices).items():
+            ab = (sum(al), sum(be))
+            d = der.ravel()
+            x_total += float(np.einsum("i,i,i->", d, d,
+                                       x_weights[ab].ravel())) * g.cell_volume
+            if with_y:
+                d_norm = landau_D_norm(wfs[ab] * der, g.velocity, spec.gamma)
+                y_total += float(np.sum(d_norm**2)) * wx
+    return x_total, y_total
+
+
 def norm_X_k(state, spec, phi_override=None):
     """Weighted energy functional X_k (a sum of squared weighted norms)."""
-    g = state.grid
-    ladder = WeightLadderConstants()
     phi = state.phi if phi_override is None else phi_override
-    indices = mixed_indices(g.dim_x)
-    total = 0.0
-    for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
-        ders = mixed_derivatives(g, f, indices)
-        for (al, be), der in ders.items():
-            a, b = sum(al), sum(be)
-            wf = weight_field(spec, g.velocity, a, b)
-            ew = exp_weight_field(spec, g, a, b, phi, sign)
-            total += ladder.value(a, b) * l2_norm(g, ew * wf * der) ** 2
-    return total
+    return _weighted_sums(state, spec, phi, False)[0]
 
 
 def norm_Y_k(state, spec):
@@ -346,21 +414,7 @@ def norm_Y_k(state, spec):
     For the Boltzmann model the dissipation norm ``H^s_{k+gamma/2}`` has no
     dynamical role here, and ``Y_k`` is refused.
     """
-    g = state.grid
-    if spec.model != "landau":
-        raise ParameterError(
-            "Y_k dissipation norm is implemented for the Landau model only")
-    indices = mixed_indices(g.dim_x)
-    wx = g.spatial.cell_volume
-    total = 0.0
-    for f in (state.f_plus, state.f_minus):
-        ders = mixed_derivatives(g, f, indices)
-        for (al, be), der in ders.items():
-            a, b = sum(al), sum(be)
-            u = weight_field(spec, g.velocity, a, b) * der
-            d_norm = landau_D_norm(u, g.velocity, spec.gamma)
-            total += float(np.sum(d_norm**2)) * wx
-    return total
+    return _weighted_sums(state, spec, state.phi, True)[1]
 
 
 def h3_grad_norm_sq(spatial, phi):
@@ -377,14 +431,22 @@ def h3_grad_norm_sq(spatial, phi):
 
 def functional_E_k(state, spec):
     """Instant energy functional ``E_k = X_k + ||grad phi||^2_{H^3}``."""
-    return norm_X_k(state, spec) + h3_grad_norm_sq(state.grid.spatial,
-                                                   state.phi)
+    return energy_dissipation(state, spec, with_d_k=False)[0]
 
 
 def functional_D_k(state, spec):
     """Dissipation functional ``D_k = Y_k + ||grad phi||^2_{H^3}``."""
-    return norm_Y_k(state, spec) + h3_grad_norm_sq(state.grid.spatial,
-                                                   state.phi)
+    return energy_dissipation(state, spec)[1]
+
+
+def energy_dissipation(state, spec, with_d_k=True):
+    """``(E_k, D_k, ||grad phi||^2_{H^3})`` from one transform per species.
+
+    ``D_k`` is 0.0 unless ``with_d_k``.
+    """
+    h3 = h3_grad_norm_sq(state.grid.spatial, state.phi)
+    x_k, y_k = _weighted_sums(state, spec, state.phi, with_d_k)
+    return x_k + h3, (y_k + h3 if with_d_k else 0.0), h3
 
 
 def norm_L2k(grid, values, k):

@@ -14,7 +14,10 @@ import pytest
 from vplandau.config import _KEYS, RunConfig, load_config, parse_config
 from vplandau.errors import ConfigError, InitialConditionError
 from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid, integrate_v
-from vplandau.initial import make_initial_condition
+from vplandau.initial import (
+    initial_condition_and_halvings,
+    make_initial_condition,
+)
 from vplandau.state import ConservedQuantities, SystemState, maxwellian
 
 MINIMAL = """
@@ -124,6 +127,19 @@ x = 1
         cfg = parse_config(MINIMAL, overrides={"output.directory": "a%b"})
         assert cfg.directory == "a%b"
 
+    @pytest.mark.parametrize("text, violation", [
+        (MINIMAL + "[grid]\nn_x = 8\n",
+         "line 9: section [grid] appears twice"),
+        (MINIMAL + "n_v = 8\n", "line 9: key grid.n_v appears twice"),
+        ("n_v = 8\n" + MINIMAL, "line 1: text before the first section header"),
+        (MINIMAL + "n_x\n", "line 9: neither a section header nor key = value"),
+    ])
+    def test_unreadable_text_is_a_violation(self, text, violation):
+        # configparser's own errors name the offending line
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == [violation]
+
     @pytest.mark.parametrize("dotted", [
         "model.model", "time.scheme", "initial.family", "initial.profile",
         "initial.species", "flags.mode"])
@@ -187,6 +203,20 @@ class TestInitialConditions:
             st = make_initial_condition(small_grid, amplitude=5.0, seed=1)
         mu = maxwellian(small_grid.velocity)
         assert float(np.min(mu + st.f_plus)) > 0.0
+
+    def test_positivity_rescue_is_counted(self, small_grid):
+        with pytest.warns(RuntimeWarning):
+            st, halvings = initial_condition_and_halvings(
+                small_grid, amplitude=5.0, seed=1)
+        assert halvings > 0
+        with pytest.warns(RuntimeWarning):
+            same = make_initial_condition(small_grid, amplitude=5.0, seed=1)
+        assert np.array_equal(st.f_plus, same.f_plus)
+        # the effective amplitude rebuilds the state without a halving
+        again, no_halvings = initial_condition_and_halvings(
+            small_grid, amplitude=5.0 / 2**halvings, seed=1)
+        assert no_halvings == 0
+        assert np.array_equal(again.f_plus, st.f_plus)
 
     def test_positivity_rescue_gives_up(self, small_grid):
         with pytest.raises(InitialConditionError), pytest.warns(RuntimeWarning):
@@ -254,6 +284,9 @@ amplitude = 1e-4
         # positivity is monitored, never asserted (mu underflows FFT noise
         # at the box corners); the monitor must be recorded and finite
         assert np.isfinite(summary["min_full_distribution"])
+        assert summary["positivity_rescue"] == {
+            "requested_amplitude": 1e-4, "effective_amplitude": 1e-4,
+            "halvings": 0}
 
 
     LINEARIZED = MINIMAL.replace("n_v = 16", "n_x = 4\nn_v = 8") + """
@@ -275,6 +308,21 @@ mode = linearized
         summary, _ = run_experiment(cfg)
         assert summary["conservation_max_drift"] <= LINEARIZED_DRIFT_TOL
         assert summary["flags"]["conservation"]
+
+    def test_summary_reports_the_positivity_rescue(self, tmp_path):
+        # criterion 7's data: the weighted profile needs six halvings
+        from vplandau.experiments import run_experiment
+
+        cfg = parse_config(
+            self.LINEARIZED.replace("n_v = 8", "n_v = 16")
+            + f"[output]\ndirectory = {tmp_path}\n"
+            + "[initial]\nmodes = 0\nprofile = weighted_maxwellian\n")
+        with pytest.warns(RuntimeWarning, match="halving"):
+            summary, _ = run_experiment(cfg)
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["positivity_rescue"] == written["positivity_rescue"] \
+            == {"requested_amplitude": 1e-3,
+                "effective_amplitude": 1e-3 / 64, "halvings": 6}
 
     def test_linearized_mode_flags_a_kinetic_energy_drift(
             self, tmp_path, monkeypatch):
@@ -331,6 +379,15 @@ class TestCLI:
         payload = json.loads(proc.stderr)
         assert payload["error"] == "config"
         assert any("gamma range" in v for v in payload["violations"])
+
+    def test_repeated_section_exit_2_with_violations(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(MINIMAL + "[grid]\nn_x = 8\n")
+        proc = self._run("run", str(bad))
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr)
+        assert payload == {"error": "config", "violations": [
+            "line 9: section [grid] appears twice"]}
 
     def test_bad_thread_count_exit_2(self, tmp_path):
         ini = tmp_path / "ok.ini"

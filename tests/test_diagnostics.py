@@ -192,3 +192,23 @@ class TestRecorder:
             warnings.simplefilter("error", RuntimeWarning)
             again = rec.record_state(moved.clone())
         assert again.balance_plus == 0.0 and again.balance_minus == 0.0
+
+    @pytest.mark.parametrize("compute_d_k", [True, False])
+    def test_one_transform_per_species_and_record(self, small_grid,
+                                                  monkeypatch, compute_d_k):
+        # E_k, D_k and the H^3 field norm share one set of mixed
+        # derivatives per species
+        spec = weights.WeightSpec("landau", -3.0, 10.0)
+        st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
+        rec = Recorder(spec, st.clone(), compute_d_k=compute_d_k)
+        calls = []
+        derivatives = weights.mixed_derivatives
+
+        def counted(grid, values, indices):
+            calls.append(values)
+            return derivatives(grid, values, indices)
+
+        monkeypatch.setattr(weights, "mixed_derivatives", counted)
+        rec.record_state(transport_step(st, 0.01))
+        assert len(calls) == 2
+        assert (rec.records[-1].d_k > 0.0) == compute_d_k

@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 
+from vplandau import landau
+from vplandau.dynamics import TimeStepConfig, advance
 from vplandau.errors import ParameterError
 from vplandau.grid import (
     PhaseGrid,
     SpatialGrid,
     VelocityGrid,
+    along,
+    derivative_multiplier,
     l2_norm,
 )
+from vplandau.initial import make_initial_condition
 from vplandau.oracle import highres_norm
 from vplandau.state import SystemState, maxwellian, project_P, projection_upper_constant
 from vplandau.weights import (
@@ -20,11 +26,13 @@ from vplandau.weights import (
     WeightSpec,
     anisotropic_gradient,
     bracket,
+    energy_dissipation,
     exp_weight_field,
     functional_D_k,
     functional_E_k,
     h3_grad_norm_sq,
     landau_D_norm,
+    mixed_derivatives,
     mixed_indices,
     norm_L2k,
     norm_X_k,
@@ -323,3 +331,124 @@ class TestNormEquivalence:
                      + norm_L2k(g, st.f_minus - pm, k) ** 2)
             assert split >= 0.5 * total * (1 - 1e-12)
             assert split <= upper * total * (1 + 1e-12)
+
+
+# ---- the shared pass against the per-pair formula it replaced ---------------
+
+
+def _complex_derivative(grid, values, al, be):
+    """``d^alpha_beta`` through complex ``fftn``/``ifftn``."""
+    hat = sfft.fftn(values, norm="forward")
+    nd = values.ndim
+    for axis, o in enumerate(al + be):
+        if o:
+            hat = hat * along(derivative_multiplier(grid.axis_grid(axis), o),
+                              axis, nd)
+    return sfft.ifftn(hat, norm="forward").real
+
+
+def _oracle_D_norm(values, velocity_grid, gamma):
+    """Landau dissipation norm from the vector anisotropic gradient."""
+    axes = (-3, -2, -1)
+    w = velocity_grid.node_weight
+    br_g = bracket(velocity_grid) ** (0.5 * gamma)
+    first = np.sqrt(np.sum((values * br_g) ** 2, axis=axes) * w)
+    tilde = anisotropic_gradient(velocity_grid, values)
+    second = np.sqrt(sum(np.sum((t * br_g) ** 2, axis=axes) for t in tilde)
+                     * w)
+    return first + second
+
+
+def _oracle_functionals(state, spec):
+    """``(E_k, D_k)`` pair by pair: complex transforms, the vector
+    anisotropic gradient and fresh weight fields for every pair."""
+    g = state.grid
+    ladder = WeightLadderConstants()
+    x_k = y_k = 0.0
+    for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
+        for al, be in mixed_indices(g.dim_x):
+            der = _complex_derivative(g, f, al, be)
+            a, b = sum(al), sum(be)
+            wf = weight_field(spec, g.velocity, a, b)
+            ew = exp_weight_field(spec, g, a, b, state.phi, sign)
+            x_k += ladder.value(a, b) * l2_norm(g, ew * wf * der) ** 2
+            d_norm = _oracle_D_norm(wf * der, g.velocity, spec.gamma)
+            y_k += float(np.sum(d_norm**2)) * g.spatial.cell_volume
+    h3 = h3_grad_norm_sq(g.spatial, state.phi)
+    return x_k + h3, y_k + h3
+
+
+@pytest.fixture(scope="module")
+def evolved():
+    """The README run's state after two steps, per collision gamma."""
+    grid = PhaseGrid(SpatialGrid(1, 16), VelocityGrid(16, 8.0))
+    start = make_initial_condition(grid, amplitude=1e-3, seed=1234)
+    out = {}
+    for gamma in (-3.0, 0.0):
+        tables = landau.build_kernel_tables(gamma, grid.velocity)
+        out[gamma] = advance(start.clone(), 0.01, TimeStepConfig(dt=0.005),
+                             tables)
+    return out
+
+
+def _rel(new, ref):
+    return abs(new - ref) / abs(ref)
+
+
+class TestSharedPass:
+    def test_matches_the_per_pair_formula_at_gamma_0(self, evolved):
+        # measured 1e-14; the gamma = 0 state's tails sit far above the
+        # transforms' round-off
+        spec = WeightSpec("landau", 0.0, 10.0)
+        state = evolved[0.0]
+        e_k, d_k, h3 = energy_dissipation(state, spec)
+        e_ref, d_ref = _oracle_functionals(state, spec)
+        assert _rel(e_k, e_ref) <= 1e-12
+        assert _rel(d_k, d_ref) <= 1e-12
+        assert h3 == h3_grad_norm_sq(state.grid.spatial, state.phi)
+        assert functional_E_k(state, spec) == e_k
+        assert functional_D_k(state, spec) == d_k
+        assert energy_dissipation(state, spec, with_d_k=False) == (e_k, 0.0,
+                                                                   h3)
+
+    def test_within_the_round_off_spread_at_gamma_minus_3(self, evolved):
+        # E_k and D_k sit on a round-off floor here (README, Known
+        # limitations): the bound is twice the largest change that a
+        # 1e-16 relative perturbation of f+ makes in the per-pair formula
+        spec = WeightSpec("landau", -3.0, 10.0)
+        state = evolved[-3.0]
+        e_ref, d_ref = _oracle_functionals(state, spec)
+        spread_e = spread_d = 0.0
+        for seed in range(8):
+            z = np.random.default_rng(seed).standard_normal(state.grid.shape)
+            z *= 1e-16 * np.linalg.norm(state.f_plus) / np.linalg.norm(z)
+            e, d = _oracle_functionals(
+                state.with_fields(state.f_plus + z, state.f_minus), spec)
+            spread_e = max(spread_e, _rel(e, e_ref))
+            spread_d = max(spread_d, _rel(d, d_ref))
+        assert spread_e > 0.0 and spread_d > 0.0
+        e_k, d_k, _ = energy_dissipation(state, spec)
+        assert _rel(e_k, e_ref) <= 2.0 * spread_e
+        assert _rel(d_k, d_ref) <= 2.0 * spread_d
+
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
+    def test_closed_form_of_the_anisotropic_gradient(self, small_grid, rng,
+                                                     gamma):
+        # <v>^2 |grad u|^2 - (v . grad u)^2 = sum_a grad_tilde(u)_a^2
+        u = rng.standard_normal(small_grid.shape)
+        ve = small_grid.velocity
+        got = landau_D_norm(u, ve, gamma)
+        want = _oracle_D_norm(u, ve, gamma)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("dim_x", [1, 2])
+    def test_real_transforms_match_complex_ones(self, rng, dim_x):
+        g = PhaseGrid(SpatialGrid(dim_x, 8), VelocityGrid(8, 6.0))
+        f = rng.standard_normal(g.shape)
+        ders = mixed_derivatives(g, f, mixed_indices(dim_x))
+        assert len(ders) == len(mixed_indices(dim_x))
+        for (al, be), der in ders.items():
+            want = _complex_derivative(g, f, al, be)
+            assert np.max(np.abs(der - want)) <= 1e-13 * np.max(np.abs(want))
+        zero = ((0,) * dim_x, (0, 0, 0))
+        assert ders[zero] is f
