@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -92,9 +93,6 @@ def _base_kernel_components(gamma, u1, u2, u3, origin_diag):
     return phis, derivs
 
 
-_calibration_cache = {}
-
-
 def _halfline_gaussian_moment(a, sigma):
     """integral_0^inf r^a exp(-r^2/(2 sigma^2)) dr, closed form."""
     return 2.0 ** ((a - 1.0) / 2.0) * sigma ** (a + 1.0) * math.gamma((a + 1.0) / 2.0)
@@ -103,77 +101,84 @@ def _halfline_gaussian_moment(a, sigma):
 def _shell_masks(u1, u2, u3, h):
     """Node masks of the correction shells on a sampling lattice.
 
-    axis:  +-h e_i;  face: two coordinates at +-h, one zero;  mixed: one
-    coordinate zero, the others at (+-h, +-2h).  Per axis i: ``axis_i`` is
-    +-h e_i, ``face_i`` the face nodes with u_i = +-h, ``axis2_i`` +-2h e_i.
+    axis:  +-h e_i;  face: two coordinates at +-h, one zero.  Per axis i:
+    ``axis_i`` is +-h e_i, ``face_i`` the face nodes with u_i = +-h and
+    ``axis2_i`` is +-2h e_i.
     """
     uc = (u1, u2, u3)
     at_h = [np.abs(np.abs(c) - h) < 0.25 * h for c in uc]
     at_2h = [np.abs(np.abs(c) - 2 * h) < 0.25 * h for c in uc]
     zero = [np.abs(c) < 0.25 * h for c in uc]
-    axis_i, axis2_i, face_w, mixed_w = [], [], [], []
+    axis_i, axis2_i, face_w = [], [], []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         axis_i.append(at_h[i] & zero[j] & zero[k])
         axis2_i.append(at_2h[i] & zero[j] & zero[k])
         face_w.append(zero[i] & at_h[j] & at_h[k])
-        mixed_w.append(zero[i] & ((at_h[j] & at_2h[k]) | (at_2h[j] & at_h[k])))
     face = face_w[0] | face_w[1] | face_w[2]
     return {"zero": zero, "axis": axis_i[0] | axis_i[1] | axis_i[2],
-            "face": face, "mixed": mixed_w[0] | mixed_w[1] | mixed_w[2],
-            "axis_i": axis_i, "axis2_i": axis2_i,
+            "face": face, "axis_i": axis_i, "axis2_i": axis2_i,
             "face_i": [face & at_h[i] for i in range(3)]}
 
 
-def _inplane_parts(gamma, u1, u2, u3, masks, h, phis):
-    """In-plane projector parts of phi on the face and mixed shells.
+def _inplane_parts(gamma, masks, h, phis):
+    """In-plane projector parts of phi on the face shell.
 
-    At a shell node with zero coordinate w the tensor splits as
+    At a face node with zero coordinate w the tensor splits as
     ``|u|^{gamma+2} (I - u u^T/|u|^2) = (in-plane part) + |u|^{gamma+2}
-    e_w e_w^T``; scaling either part preserves the projector property and
-    positive semi-definiteness.  Returns per-component in-plane arrays for
-    both shells.
+    e_w e_w^T``; scaling the in-plane part preserves the projector property
+    and positive semi-definiteness.  Returns per-component arrays.
     """
     zero = masks["zero"]
     c_face = (2.0 * h**2) ** (0.5 * (gamma + 2.0))
-    c_mix = (5.0 * h**2) ** (0.5 * (gamma + 2.0))
-    in_face, in_mix = [], []
+    in_face = []
     for k, (i, j) in enumerate(_SYM_PAIRS):
-        if i == j:
-            out_f = np.where(masks["face"] & zero[i], c_face, 0.0)
-            out_m = np.where(masks["mixed"] & zero[i], c_mix, 0.0)
-        else:
-            out_f = out_m = 0.0
-        in_face.append(np.where(masks["face"], phis[k], 0.0) - out_f)
-        in_mix.append(np.where(masks["mixed"], phis[k], 0.0) - out_m)
-    return in_face, in_mix
+        out = np.where(masks["face"] & zero[i], c_face, 0.0) if i == j else 0.0
+        in_face.append(np.where(masks["face"], phis[k], 0.0) - out)
+    return in_face
 
 
+@lru_cache(maxsize=None)
 def _calibration(gamma, velocity_grid):
     """Quadrature-defect corrections for the singular kernels, gamma < 0.
 
     The plain lattice sum of a ``|u|^s``-singular kernel against a smooth
     field carries algebraic defects ``h^{s+3+k} x (lattice constant) x
     (k-th derivative of the field at the output node)``; for the Landau
-    kernels all defects through ``O(h^{gamma+7})`` span seven independent
-    structures (even: value, isotropic / deviatoric / off-diagonal second
-    order; odd: gradient and two third-order structures).  They are removed
-    by corrected quadrature weights near the origin, chosen so the corrected
+    kernels all defects through ``O(h^{gamma+7})`` span six independent
+    structures (even: value, isotropic and deviatoric second order; odd:
+    gradient and two third-order structures).  They are removed by
+    corrected quadrature weights near the origin, chosen so the corrected
     lattice sums reproduce closed-form Gaussian probe moments exactly:
 
     * even part: origin value ``w0`` of the diagonal phi components plus
       tensor re-scalings of the nearest axis shell (``th_axis``) and of the
-      in-plane projector parts on the face-diagonal and mixed shells
-      (``th_face``, ``th_mixed``) -- all projector- and PSD-preserving;
+      in-plane projector part on the face-diagonal shell (``th_face``) --
+      all projector- and PSD-preserving;
     * odd part: antisymmetric ``sign(u_i)`` weights on the derivative
       kernels at the nearest axis, face-diagonal and second axis shells.
+
+    The fourth even probe (``u1 u2 W`` on phi^{12}) is not an unknown: by
+    the lattice's cubic symmetry its equation is ``-(P2 + 2 P3) / 6`` of
+    the isotropic (P2) and deviatoric (P3) ones, so it is checked as an
+    identity.  A singular system or a broken identity raises.
 
     Both evaluation paths (padded FFT and direct summation) consume the same
     corrected samples, so the correction never splits the dual route.
     """
-    key = (float(gamma), velocity_grid.n_v, float(velocity_grid.cutoff_L))
-    if key in _calibration_cache:
-        return _calibration_cache[key]
+    where = (f"gamma={gamma:g}, n_v={velocity_grid.n_v}, "
+             f"L={velocity_grid.cutoff_L:g}")
+
+    def solve(resp, rhs, part):
+        cond = np.linalg.cond(resp)
+        if not cond < 1e12:
+            raise ParameterError(f"{part} calibration system is singular at "
+                                 f"{where}: condition number {cond:.3g}")
+        return tuple(float(x) for x in np.linalg.solve(resp, rhs))
+
+    def lattice(kernel, probe):
+        return float(np.sum(kernel * probe)) * w
+
     h = velocity_grid.spacing
     u1, u2, u3 = _axes(_centred_lattice(velocity_grid))
     usq = u1**2 + u2**2 + u3**2
@@ -184,66 +189,42 @@ def _calibration(gamma, velocity_grid):
     m4 = _halfline_gaussian_moment(gamma + 4.0, sigma)
     m6 = _halfline_gaussian_moment(gamma + 6.0, sigma)
     masks = _shell_masks(u1, u2, u3, h)
-    in_face, in_mix = _inplane_parts(gamma, u1, u2, u3, masks, h, phis)
+    in_face = _inplane_parts(gamma, masks, h, phis)
 
-    # Even system: probes (W, |u|^2 W, (u1^2 - u2^2) W) on component 11 and
-    # (u1 u2 W) on component 12 against unknowns (w0, th_axis, th_face,
-    # th_mixed).  Exact moments: angular averages of the projector give
-    # (2/3) delta_ij, <(1 - uh1^2)(uh1^2 - uh2^2)> = -2/15 and
-    # <uh1^2 uh2^2> = 1/15.
+    # Even system: probes (W, |u|^2 W, (u1^2 - u2^2) W) on component 11
+    # against unknowns (w0, th_axis, th_face).  Exact moments: angular
+    # averages of the projector give (2/3) delta_ij,
+    # <(1 - uh1^2)(uh1^2 - uh2^2)> = -2/15 and <uh1^2 uh2^2> = 1/15.
     probes_11 = (gauss, usq * gauss, (u1**2 - u2**2) * gauss)
-    exact_11 = (
-        (8.0 * math.pi / 3.0) * m4,
-        (8.0 * math.pi / 3.0) * m6,
-        -(8.0 * math.pi / 15.0) * m6,
-    )
-    resp = np.zeros((4, 4))
-    rhs = np.zeros(4)
-    for row, p in enumerate(probes_11):
-        resp[row, 0] = w if row == 0 else 0.0
-        resp[row, 1] = float(np.sum(np.where(masks["axis"], phis[0] * p, 0.0))) * w
-        resp[row, 2] = float(np.sum(in_face[0] * p)) * w
-        resp[row, 3] = float(np.sum(in_mix[0] * p)) * w
-        rhs[row] = exact_11[row] - float(np.sum(phis[0] * p)) * w
+    exact_11 = ((8.0 * math.pi / 3.0) * m4, (8.0 * math.pi / 3.0) * m6,
+                -(8.0 * math.pi / 15.0) * m6)
+    axis_phi = np.where(masks["axis"], phis[0], 0.0)
+    even = solve([[w if row == 0 else 0.0, lattice(axis_phi, p),
+                   lattice(in_face[0], p)] for row, p in enumerate(probes_11)],
+                 [e - lattice(phis[0], p) for e, p in zip(exact_11, probes_11)],
+                 "even")
+
+    # The fourth probe sees th_face only: the origin and the axis shell
+    # carry no off-diagonal part.
     p12 = u1 * u2 * gauss
-    resp[3, 2] = float(np.sum(in_face[3] * p12)) * w
-    resp[3, 3] = float(np.sum(in_mix[3] * p12)) * w
-    rhs[3] = -(4.0 * math.pi / 15.0) * m6 - float(np.sum(phis[3] * p12)) * w
-    even = _solve_calibration(resp, rhs)
+    exact_12 = (4.0 * math.pi / 15.0) * m6
+    residual = abs(even[2] * lattice(in_face[3], p12) + lattice(phis[3], p12)
+                   + exact_12) / exact_12
+    if not residual <= 1e-12:
+        raise ParameterError(f"fourth even calibration probe misses its "
+                             f"moment at {where}: residual {residual:.3g}")
 
     # Odd system: probes (u1 W, u1 |u|^2 W, u1 (u1^2 - 3 u2^2) W) against
     # (d_axis, d_face, d_axis2) with sign pattern sign(u1); the isotropic
     # kernel has no ell=3 angular content, so the third exact moment is 0.
-    shells = (masks["axis_i"][0], masks["face_i"][0], masks["axis2_i"][0])
-    sgn = np.sign(u1)
+    sgn = [np.where(shell, np.sign(u1), 0.0) for shell in
+           (masks["axis_i"][0], masks["face_i"][0], masks["axis2_i"][0])]
     probes_d = (u1 * gauss, u1 * usq * gauss,
                 u1 * (u1**2 - 3.0 * u2**2) * gauss)
     exact_d = (-(8.0 * math.pi / 3.0) * m4, -(8.0 * math.pi / 3.0) * m6, 0.0)
-    resp_o = np.zeros((3, 3))
-    rhs_o = np.zeros(3)
-    for row, p in enumerate(probes_d):
-        for col, shell in enumerate(shells):
-            resp_o[row, col] = float(np.sum(np.where(shell, sgn * p, 0.0))) * w
-        rhs_o[row] = exact_d[row] - float(np.sum(derivs[0] * p)) * w
-    odd = _solve_calibration(resp_o, rhs_o)
-    _calibration_cache[key] = (tuple(float(x) for x in even),
-                               tuple(float(x) for x in odd))
-    return _calibration_cache[key]
-
-
-def _solve_calibration(resp, rhs):
-    """Solve a calibration system, dropping trailing unknowns if singular."""
-    k = resp.shape[0]
-    while k > 1:
-        sub = resp[:k, :k]
-        if np.linalg.cond(sub) < 1e12:
-            sol = np.zeros(resp.shape[0])
-            sol[:k] = np.linalg.solve(sub, rhs[:k])
-            return sol
-        k -= 1
-    sol = np.zeros(resp.shape[0])
-    sol[0] = rhs[0] / resp[0, 0]
-    return sol
+    return even, solve(
+        [[lattice(shell, p) for shell in sgn] for p in probes_d],
+        [e - lattice(derivs[0], p) for e, p in zip(exact_d, probes_d)], "odd")
 
 
 def _kernel_components(gamma, off, velocity_grid):
@@ -258,19 +239,14 @@ def _kernel_components(gamma, off, velocity_grid):
     u1, u2, u3 = _axes(off)
     if gamma >= 0:
         return _base_kernel_components(gamma, u1, u2, u3, 0.0)
-    even, odd = _calibration(gamma, velocity_grid)
-    w0, th_axis, th_face, th_mixed = even
-    d_axis, d_face, d_axis2 = odd
+    (w0, th_axis, th_face), (d_axis, d_face, d_axis2) = _calibration(
+        gamma, velocity_grid)
     phis, derivs = _base_kernel_components(gamma, u1, u2, u3, w0)
     masks = _shell_masks(u1, u2, u3, h)
-    in_face, in_mix = _inplane_parts(gamma, u1, u2, u3, masks, h, phis)
+    in_face = _inplane_parts(gamma, masks, h, phis)
     for k in range(len(_SYM_PAIRS)):
-        phis[k] = (
-            phis[k]
-            + th_axis * np.where(masks["axis"], phis[k], 0.0)
-            + th_face * in_face[k]
-            + th_mixed * in_mix[k]
-        )
+        phis[k] = (phis[k] + th_axis * np.where(masks["axis"], phis[k], 0.0)
+                   + th_face * in_face[k])
     for i, u in enumerate((u1, u2, u3)):
         derivs[i] = derivs[i] + (
             d_axis * masks["axis_i"][i] + d_face * masks["face_i"][i]
@@ -434,13 +410,9 @@ def q_landau_fft(g, f, tables, workers=None):
 # ---- direct-quadrature oracle -----------------------------------------------
 
 _ORACLE_MAX = 16
-_flat_index_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _pair_flat_index(n):
     """Flat index of ``v_a - v_b`` into the (2n-1)^3 kernel cube, cached."""
-    if n in _flat_index_cache:
-        return _flat_index_cache[n]
     m = 2 * n - 1
     idx = np.arange(n, dtype=np.int32)
     off = idx[:, None] - idx[None, :] + np.int32(n - 1)  # (n, n), 0..2n-2
@@ -450,7 +422,6 @@ def _pair_flat_index(n):
     flat += off[a2[:, None], a2[None, :]]
     flat *= m
     flat += off[a3[:, None], a3[None, :]]
-    _flat_index_cache[n] = flat
     return flat
 
 

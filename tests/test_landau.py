@@ -115,6 +115,75 @@ class TestKernelTables:
         assert {"_mu_conv", "_mu_derivs", "_rho_estimate"} <= declared
 
 
+def halfline_moment(a, sigma):
+    """int_0^inf r^a exp(-r^2 / (2 sigma^2)) dr."""
+    return (2.0 ** ((a - 1.0) / 2.0) * sigma ** (a + 1.0)
+            * math.gamma((a + 1.0) / 2.0))
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("nv", [8, 16, 32])
+    @pytest.mark.parametrize("gamma", [-3.0, -1.0, -0.5])
+    def test_corrected_samples_reproduce_gaussian_moments(self, gamma, nv):
+        # the three even and three odd probes are solved for; the fourth
+        # even probe (u1 u2 W on phi^12) holds as an identity
+        ve = VelocityGrid(nv, 8.0)
+        tables = build_kernel_tables(gamma, ve, measure=False)
+        off, phis, derivs = tables.sampled_kernels()
+        u1, u2, u3 = off[:, None, None], off[None, :, None], off[None, None, :]
+        usq = u1**2 + u2**2 + u3**2
+        sigma = max(2.0, 1.5 * ve.spacing)
+        gauss = np.exp(-usq / (2.0 * sigma**2))
+        c4 = (8.0 * math.pi / 3.0) * halfline_moment(gamma + 4.0, sigma)
+        c6 = (8.0 * math.pi / 3.0) * halfline_moment(gamma + 6.0, sigma)
+        probes = [  # (kernel, probe, exact moment)
+            (phis[0], gauss, c4),
+            (phis[0], usq * gauss, c6),
+            (phis[0], (u1**2 - u2**2) * gauss, -c6 / 5.0),
+            (phis[3], u1 * u2 * gauss, -c6 / 10.0),
+            (derivs[0], u1 * gauss, -c4),
+            (derivs[0], u1 * usq * gauss, -c6),
+            (derivs[0], u1 * (u1**2 - 3.0 * u2**2) * gauss, 0.0),
+        ]
+        for kernel, probe, exact in probes:
+            lattice = float(np.sum(kernel * probe)) * ve.node_weight
+            assert abs(lattice - exact) <= 1e-13 * (abs(exact) or c6)
+
+    @pytest.fixture
+    def fresh_calibration(self):
+        landau._calibration.cache_clear()
+        yield
+        landau._calibration.cache_clear()
+
+    def test_broken_fourth_probe_identity_raises(self, monkeypatch,
+                                                 fresh_calibration):
+        inplane = landau._inplane_parts
+
+        def skewed(*args):
+            parts = inplane(*args)
+            parts[3] = 1.01 * parts[3]   # phi^12 in-plane part on the face
+            return parts
+
+        monkeypatch.setattr(landau, "_inplane_parts", skewed)
+        with pytest.raises(ParameterError,
+                           match=r"fourth.*gamma=-3, n_v=16, L=8"):
+            build_kernel_tables(-3.0, VelocityGrid(16, 8.0), measure=False)
+
+    def test_singular_system_raises(self, monkeypatch, fresh_calibration):
+        shells = landau._shell_masks
+
+        def no_face(*args):
+            masks = shells(*args)
+            masks["face"] = np.zeros_like(masks["face"])
+            masks["face_i"] = [np.zeros_like(m) for m in masks["face_i"]]
+            return masks
+
+        monkeypatch.setattr(landau, "_shell_masks", no_face)
+        with pytest.raises(ParameterError,
+                           match=r"even .*singular.*gamma=-3, n_v=16, L=8"):
+            build_kernel_tables(-3.0, VelocityGrid(16, 8.0), measure=False)
+
+
 def padded_reference(tables, g):
     """Nine convolutions by explicitly zero-padded full FFTs of the samples.
 

@@ -17,3 +17,12 @@ def test_oracle_error_exposes_mismatched_tables():
     mismatched = verify.oracle_error(wrong, np.random.default_rng(1), 2)
     assert matching <= 1e-12
     assert mismatched > verify.FFT_ORACLE_TOL
+
+
+def test_mass_moment_error_is_round_off_for_a_growing_kernel():
+    # |int Q| is round-off of a sum of Q, so it is read against int |Q|;
+    # read against ||g|| ||f|| it reached 3.8e-12 here
+    tables = landau.build_kernel_tables(1.0, VelocityGrid(16, 8.0),
+                                        measure=False)
+    err = verify.mass_moment_error(tables, np.random.default_rng(1234), 6)
+    assert err <= verify.MASS_MOMENT_TOL
