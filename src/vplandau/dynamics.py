@@ -8,18 +8,17 @@ with the potential refreshed after every substep that changes the charge
 density (transport; the field and collision substeps leave the density
 invariant node by node).  Transport is exact in the mixed representation:
 spatial Fourier modes acquire the phase ``exp(-i xi . v dt)`` per velocity
-node.  The field substep advances the frozen-potential Vlasov terms with
-classical RK4 and spectral velocity derivatives.  The collision substep is
-either an explicit RK4 on the full collision right-hand side or a Picard
-iteration on the frozen-coefficient linear problem (the first argument of
-every collision operator, and the potential in the Vlasov term, are held at
-the previous iterate).
+node.  The field substep is exact in the same way: with the potential
+frozen, velocity Fourier modes acquire a phase ``exp(+-i dt k_v . grad phi)``
+and the source adds its Duhamel integral.  The collision substep is either
+an explicit RK4 on the full collision right-hand side or a Picard iteration
+on the frozen-coefficient linear problem (the first argument of every
+collision operator is held at the previous iterate).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from . import landau
 from .errors import PicardConvergenceError
-from .grid import along, l2_norm, v_derivative_trailing
+from .grid import along, derivative_multiplier, l2_norm, v_derivative_trailing
 from .state import maxwellian
 
 RKC_DAMPING = 2.0 / 13.0  # eps of the damped Chebyshev argument w0
@@ -62,7 +61,6 @@ class StepInfo:
     dt: float
     picard_iterations: int = 0
     picard_ratios: tuple = ()
-    cfl_warning: bool = False
 
 
 # ---- substeps ----------------------------------------------------------------
@@ -101,16 +99,14 @@ def transport_step(state, dt, phase=None, workers=None):
     return state.with_fields(out[0], out[1], time=state.time + dt)
 
 
-def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source, workers=None):
+def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source):
     """RHS of d_t f_pm = +-grad(phi).grad_v f_pm -+ grad(phi).v mu."""
     dp = np.zeros_like(f_plus)
     dm = np.zeros_like(f_minus)
     for a in range(grid.dim_x):
         ga = grad_phi[a][(...,) + (None, None, None)]
-        dp += ga * v_derivative_trailing(grid.velocity, f_plus, a,
-                                         workers=workers)
-        dm -= ga * v_derivative_trailing(grid.velocity, f_minus, a,
-                                         workers=workers)
+        dp += ga * v_derivative_trailing(grid.velocity, f_plus, a)
+        dm -= ga * v_derivative_trailing(grid.velocity, f_minus, a)
     dp -= v_mu_source
     dm += v_mu_source
     return dp, dm
@@ -127,23 +123,42 @@ def _field_source(grid, grad_phi):
 
 
 def field_step(state, dt, grad_phi=None, workers=None):
-    """Frozen-potential Vlasov substep via classical RK4.
+    """Exact frozen-potential Vlasov substep in the velocity Fourier modes.
 
-    ``grad_phi`` (a tuple of spatial arrays) may be supplied to force an
-    external potential gradient; by default the state's own consistent
-    potential is used and is held frozen across the RK stages.
+    With ``theta = dt grad(phi) . k_v`` over the first ``dim_x`` velocity
+    axes (``k_v`` from :func:`derivative_multiplier`, Nyquist entry zero),
+    the semi-discrete equations of :func:`_field_rhs` integrate to
+
+        f_pm^ -> exp(+-i theta) f_pm^ -+ dt exp(+-i theta/2) sinc(theta/2pi) s^
+
+    with ``s`` the source ``grad(phi) . v mu``.  ``grad_phi`` (a tuple of
+    spatial arrays) may be supplied to force an external potential
+    gradient; by default the state's own consistent potential is used.
     """
     g = state.grid
     if grad_phi is None:
         grad_phi = tuple(-e for e in state.e_field)
-    src = _field_source(g, grad_phi)
-
-    def rhs(fp, fm):
-        return _field_rhs(g, grad_phi, fp, fm, src, workers)
-
-    new_p, new_m = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
-    _check_finite("field", state.time, (new_p, new_m))
-    return state.with_fields(new_p, new_m)
+    d = g.dim_x
+    axes = tuple(range(d, 2 * d))
+    k = derivative_multiplier(g.velocity, 1).imag
+    ks = [k] * (d - 1) + [k[: k.size // 2 + 1]]  # rfftn halves the last axis
+    theta = dt * sum(gp[(...,) + (None,) * 3] * along(ka, d + a, d + 3)
+                     for a, (gp, ka) in enumerate(zip(grad_phi, ks)))
+    rot = np.exp(1j * theta)
+    duhamel = dt * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))
+    src = sfft.rfftn(_field_source(g, grad_phi), axes=axes, norm="forward",
+                     workers=workers)
+    out = []
+    for f, r, w in ((state.f_plus, rot, -duhamel),
+                    (state.f_minus, rot.conj(), duhamel.conj())):
+        hat = sfft.rfftn(f, axes=axes, norm="forward", workers=workers)
+        hat *= r
+        hat += w * src
+        out.append(sfft.irfftn(hat, s=f.shape[d:2 * d], axes=axes,
+                               norm="forward", overwrite_x=True,
+                               workers=workers))
+    _check_finite("field", state.time, out)
+    return state.with_fields(out[0], out[1])
 
 
 def _linearized_field_step(state, dt):
@@ -339,24 +354,6 @@ def collision_step(state, dt, cfg, tables, corrector=None):
 # ---- driver -------------------------------------------------------------------
 
 
-def cfl_advisory(state, dt):
-    """True (with a warning) if dt exceeds the field-step stability guide.
-
-    Transport is exact, so this only guards the RK4 field substep.
-    """
-    g = state.grid
-    vmax = float(np.max(np.abs(g.velocity.axis_nodes())))
-    ximax = float(np.max(np.abs(g.spatial.axis_wavenumbers())))
-    if dt * vmax * ximax > math.pi:
-        warnings.warn(
-            f"dt={dt:g} exceeds the advisory bound pi/(max|v| max|xi|)="
-            f"{math.pi / (vmax * ximax):g}; transport stays exact but the "
-            "field substep may be under-resolved", RuntimeWarning,
-            stacklevel=2)
-        return True
-    return False
-
-
 def step_schedule(t0, t_final, dt):
     """Whole steps and remainder covering ``[t0, t_final]`` at step ``dt``.
 
@@ -398,11 +395,7 @@ def advance(state, t_final, cfg, tables=None, sink=None):
     steps = [(cfg.dt, transport_phase(state.grid, 0.5 * cfg.dt))] * n_whole
     if rem > 0.0:
         steps.append((rem, transport_phase(state.grid, 0.5 * rem)))
-    cfl_flag = cfl_advisory(state, cfg.dt)
     for step, (dt, phase) in enumerate(steps, start=1):
-        if step % 10 == 1 and step > 1:
-            cfl_flag = cfl_advisory(state, dt)
-
         state = transport_step(state, 0.5 * dt, phase, cfg.workers)
         state = field(state, 0.5 * dt)
         state, iters, ratios = collision_step(state, dt, cfg, tables,
@@ -412,5 +405,5 @@ def advance(state, t_final, cfg, tables=None, sink=None):
         state.time = t_final if step == len(steps) else t0 + step * cfg.dt
         if sink is not None:
             sink(state, StepInfo(step=step, dt=dt, picard_iterations=iters,
-                                 picard_ratios=ratios, cfl_warning=cfl_flag))
+                                 picard_ratios=ratios))
     return state

@@ -307,9 +307,6 @@ def l2_norm(grid, values, domain="xv"):
     if domain == "xv":
         grid.check_shape(values, "xv")
         w = grid.cell_volume
-    elif domain == "v":
-        grid.check_shape(values, "v")
-        w = grid.velocity.node_weight
     elif domain == "x":
         grid.check_shape(values, "x")
         w = grid.spatial.cell_volume

@@ -355,19 +355,17 @@ def _flux(tables, phi_conv, deriv_conv, f, df, i):
     return flux
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, df=None,
-                        add_flux=None, workers=None):
+def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None,
+                        workers=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
     flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
     storing D_i = d_j phi^{ij} = -2 |u|^gamma u_i, then Q = d_i flux_i.
-    ``df`` may supply precomputed velocity derivatives of ``f``, and
-    ``add_flux`` three fluxes (broadcasting against ``f``) added before the
-    divergence, which then yields the sum of both operators.
+    ``add_flux`` may supply three fluxes (broadcasting against ``f``) added
+    before the divergence, which then yields the sum of both operators.
     """
     ve = tables.velocity_grid
-    if df is None:
-        df = [_v_derivative(ve, f, j, workers=workers) for j in range(3)]
+    df = [_v_derivative(ve, f, j, workers=workers) for j in range(3)]
     out = None
     for i in range(3):
         flux = _flux(tables, phi_conv, deriv_conv, f, df, i)
@@ -436,17 +434,13 @@ def _direct_convolve(kernel_cube, g, weight):
     return (mat @ g.ravel()).reshape(g.shape) * weight
 
 
-def q_landau_direct(g, f, gamma, velocity_grid, derivative_on="kernel"):
+def q_landau_direct(g, f, gamma, velocity_grid):
     """O(N^2) direct-quadrature evaluation of Q(g, f) (test oracle).
 
     Shares the sampled kernels and the origin regularization with the fast
     path but computes every convolution by direct summation over node pairs.
-    ``derivative_on='kernel'`` (default) uses the analytic identity
-    ``d_j phi^{ij} = -2|u|^gamma u_i``, matching the fast path's formula;
-    ``derivative_on='g'`` keeps the derivative on the second slot of the
-    integrand (``g_* d_j f - f d_j g_*``) with a spectral ``d_j g``.  The two
-    placements agree only up to a quadrature defect that vanishes under
-    refinement, so the default is the identity form.
+    The drift uses the analytic identity ``d_j phi^{ij} = -2|u|^gamma u_i``,
+    matching the fast path's formula.
     """
     g = np.asarray(g, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -463,8 +457,6 @@ def q_landau_direct(g, f, gamma, velocity_grid, derivative_on="kernel"):
                                       velocity_grid)
     w = velocity_grid.node_weight
     df = [_v_derivative(velocity_grid, f, j) for j in range(3)]
-    if derivative_on == "g":
-        dg = [_v_derivative(velocity_grid, g, j) for j in range(3)]
     out = np.zeros_like(f)
     pair_order = {pair: k for k, pair in enumerate(_SYM_PAIRS)}
     for i in range(3):
@@ -472,10 +464,7 @@ def q_landau_direct(g, f, gamma, velocity_grid, derivative_on="kernel"):
         for j in range(3):
             kernel = phis[pair_order[(min(i, j), max(i, j))]]
             flux += _direct_convolve(kernel, g, w) * df[j]
-            if derivative_on == "g":
-                flux -= _direct_convolve(kernel, dg[j], w) * f
-        if derivative_on == "kernel":
-            flux -= _direct_convolve(derivs[i], g, w) * f
+        flux -= _direct_convolve(derivs[i], g, w) * f
         out += _v_derivative(velocity_grid, flux, i)
     return out
 

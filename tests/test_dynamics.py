@@ -8,8 +8,10 @@ import pytest
 from vplandau import landau
 from vplandau.dynamics import (
     TimeStepConfig,
+    _field_rhs,
+    _field_source,
+    _rk4_pair,
     advance,
-    cfl_advisory,
     collision_step,
     field_step,
     rkc_real_stability,
@@ -27,6 +29,21 @@ def single_mode_state(grid, amp=1e-3, opposite=True):
     x = grid.spatial.coordinate(0)[:, None, None, None]
     f = amp * np.cos(x) * mu
     return SystemState(grid, f, -f if opposite else f.copy())
+
+
+def field_case(dim_x):
+    """Amplitude-0.1 data and a gradient with a component along every x axis.
+
+    The velocity spacing is 1 at every ``dim_x``; the box shrinks to 8^3
+    nodes for ``dim_x > 1`` to keep the phase grids small.
+    """
+    velocity = VelocityGrid(16, 8.0) if dim_x == 1 else VelocityGrid(8, 4.0)
+    grid = PhaseGrid(SpatialGrid(dim_x, 8 if dim_x == 1 else 4), velocity)
+    st = make_initial_condition(grid, amplitude=0.1, seed=3)
+    xs = [grid.spatial.coordinate(a) for a in range(dim_x)]
+    grad_phi = tuple(np.sin(xs[a] + 0.5 * a) + 0.3 * np.cos(sum(xs))
+                     for a in range(dim_x))
+    return st, grad_phi
 
 
 class TestTransport:
@@ -113,6 +130,40 @@ class TestFieldStep:
         huge = (1e308 * np.ones(small_grid.spatial.shape),)
         with pytest.raises(FloatingPointError):
             field_step(st, 1.0, grad_phi=huge)
+
+    @pytest.mark.parametrize("dim_x", [1, 2, 3])
+    def test_matches_converged_rk4(self, dim_x):
+        # the exact substep against 256 RK4 substeps of the semi-discrete
+        # right-hand side it solves
+        st, grad_phi = field_case(dim_x)
+        g = st.grid
+        src = _field_source(g, grad_phi)
+
+        def rhs(fp, fm):
+            return _field_rhs(g, grad_phi, fp, fm, src)
+
+        for dt in (0.025, 0.1):
+            out = field_step(st, dt, grad_phi=grad_phi)
+            fp, fm = st.f_plus, st.f_minus
+            n = 256
+            for _ in range(n):
+                fp, fm = _rk4_pair(rhs, fp, fm, dt / n)
+            for before, exact, ref in ((st.f_plus, out.f_plus, fp),
+                                       (st.f_minus, out.f_minus, fm)):
+                increment = l2_norm(g, ref - before)
+                assert l2_norm(g, exact - ref) <= 1e-12 * increment
+
+    @pytest.mark.parametrize("dim_x", [1, 2])
+    def test_halves_compose_exactly(self, dim_x):
+        st, grad_phi = field_case(dim_x)
+        g = st.grid
+        once = field_step(st, 0.1, grad_phi=grad_phi)
+        twice = field_step(field_step(st, 0.05, grad_phi=grad_phi), 0.05,
+                           grad_phi=grad_phi)
+        for before, a, b in ((st.f_plus, once.f_plus, twice.f_plus),
+                             (st.f_minus, once.f_minus, twice.f_minus)):
+            increment = l2_norm(g, a - before)
+            assert l2_norm(g, a - b) <= 1e-13 * increment
 
 
 class TestCollisionStep:
@@ -208,9 +259,12 @@ class TestWorkers:
         self.assert_identical(transport_step(state, 0.05, workers=1),
                               transport_step(state, 0.05, workers=2))
 
-    def test_field(self, state):
-        self.assert_identical(field_step(state, 0.05, workers=1),
-                              field_step(state, 0.05, workers=2))
+    def test_field(self):
+        for dim_x in (1, 2):
+            st, grad_phi = field_case(dim_x)
+            self.assert_identical(
+                field_step(st, 0.05, grad_phi=grad_phi, workers=1),
+                field_step(st, 0.05, grad_phi=grad_phi, workers=2))
 
     # at dt = 0.3 the Picard step takes the Chebyshev (RKC) integrator
     @pytest.mark.parametrize("scheme, dt", [("strang_rk4", 1e-2),
@@ -290,12 +344,6 @@ class TestAdvance:
         assert [d for _, d, _ in seen] == [0.01, 0.01, 0.01]
         assert [t for _, _, t in seen] == [0.03 + 0.01, 0.03 + 2 * 0.01, 0.06]
         assert out.time == 0.06
-
-    def test_cfl_advisory_warns(self, small_grid):
-        st = single_mode_state(small_grid, amp=1e-2)
-        with pytest.warns(RuntimeWarning):
-            flagged = cfl_advisory(st, 10.0)
-        assert flagged
 
 
 class TestRKC:

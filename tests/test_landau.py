@@ -328,21 +328,6 @@ class TestQEvaluation:
             vals[nv] = max(mom, en)
         assert vals[32] < vals[16] / 4.0
 
-    def test_literal_derivative_placement_converges(self, rng):
-        # the (g_* d_j f - f d_j g_*) form with spectral d_j g agrees with
-        # the kernel-identity form only up to a quadrature defect that
-        # shrinks under refinement
-        defects = {}
-        for nv in (8, 16):
-            ve = VelocityGrid(nv, 8.0)
-            mu = maxwellian(ve)
-            g = (1.0 + 0.2 * ve.coordinate(0)) * mu
-            f = (1.0 - 0.1 * ve.speed_squared() / 10.0) * mu
-            qk = q_landau_direct(g, f, -1.0, ve, derivative_on="kernel")
-            ql = q_landau_direct(g, f, -1.0, ve, derivative_on="g")
-            defects[nv] = vnorm(ve, qk - ql) / max(vnorm(ve, qk), 1e-300)
-        assert defects[16] < defects[8]
-
 
 class TestConservativeCorrection:
     def test_corrected_moments_vanish(self, rng, small_grid):
