@@ -11,10 +11,8 @@ from .grid import (
     truncation_tolerance,
 )
 from .state import (
-    MacroMoments,
     SystemState,
     check_conservation,
-    extract_moments,
     load_checkpoint,
     maxwellian,
     project_P,

@@ -28,7 +28,7 @@ from numpy.polynomial import chebyshev as cheb
 from . import landau
 from .errors import PicardConvergenceError
 from .grid import along, derivative_multiplier, l2_norm, v_derivative_trailing
-from .state import maxwellian
+from .state import invariants
 
 RKC_DAMPING = 2.0 / 13.0  # eps of the damped Chebyshev argument w0
 RKC_SAFETY = 0.9  # share of the real stability interval a step may use
@@ -114,11 +114,10 @@ def _field_rhs(grid, grad_phi, f_plus, f_minus, v_mu_source):
 
 def _field_source(grid, grad_phi):
     """The source ``grad(phi) . v mu`` of the field substep."""
-    mu = maxwellian(grid.velocity)
+    v_mu = invariants(grid.velocity)[1][1:4]
     src = np.zeros(grid.shape)
     for a in range(grid.dim_x):
-        va = grid.velocity.coordinate(a)
-        src = src + grad_phi[a][(...,) + (None, None, None)] * (va * mu)
+        src = src + grad_phi[a][(...,) + (None, None, None)] * v_mu[a]
     return src
 
 

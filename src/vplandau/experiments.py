@@ -198,11 +198,11 @@ def linearized_run(cfg):
         for row in zip(result.times, result.micro_norms, result.macro_norms,
                        result.e_k_series):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    micro_energy = result.micro_norms**2
-    decayed = micro_energy[-1] < micro_energy[0]
+    # decay is read from the fitted envelope: on locally Maxwellian data the
+    # first ||(I-P) f||^2 is round-off, so first against last says nothing
     flags = {
         "conservation": result.conservation_max_drift <= LINEARIZED_DRIFT_TOL,
-        "decayed": bool(decayed),
+        "decayed": bool(result.fit_exponential.rate > 0),
     }
     summary = {
         "schema_version": SCHEMA_VERSION,

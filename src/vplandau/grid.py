@@ -315,19 +315,6 @@ def l2_norm(grid, values, domain="xv"):
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * w)
 
 
-def spectral_l2_norm(grid, coeffs, domain="xv"):
-    """L2 norm from forward-normalized coefficients (Parseval form)."""
-    if domain == "xv":
-        vol = grid.spatial.volume * (2.0 * grid.velocity.cutoff_L) ** 3
-    elif domain == "v":
-        vol = (2.0 * grid.velocity.cutoff_L) ** 3
-    elif domain == "x":
-        vol = grid.spatial.volume
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    return math.sqrt(float(np.sum(np.abs(coeffs) ** 2)) * vol)
-
-
 def v_derivative_trailing(velocity_grid, values, axis, workers=None):
     """Spectral d/dv_axis acting on the trailing three (velocity) axes.
 

@@ -20,12 +20,7 @@ import numpy as np
 from . import poisson
 from .errors import InitialConditionError
 from .grid import integrate_v, integrate_x
-from .state import (
-    SystemState,
-    conserved_moments,
-    kernel_pair_basis,
-    maxwellian,
-)
+from .state import SystemState, conserved_moments, kernel_fields, maxwellian
 from .weights import bracket
 
 
@@ -92,19 +87,16 @@ def project_conservation(grid, f_plus, f_minus):
     of the potential of the charge density with its mean removed.
     """
     ve = grid.velocity
-    basis = kernel_pair_basis(ve)
     # constraint matrix: functionals of each (x-homogeneous) basis pair, one
     # column per pair
-    stacks = (np.stack(part) for part in zip(*basis))
-    mat = np.array(conserved_moments(ve, *stacks)) * grid.spatial.volume
+    basis = kernel_fields(ve, np.eye(6))
+    mat = np.array(conserved_moments(ve, *basis)) * grid.spatial.volume
     rho = integrate_v(grid, f_plus - f_minus)
     phi = poisson.solve_potential(grid.spatial, rho - np.mean(rho)).phi
     target = np.array([integrate_x(grid, m)
                        for m in conserved_moments(ve, f_plus, f_minus)])
     target[5] += poisson.field_energy(grid.spatial, phi)
-    coef = np.linalg.solve(mat, target)
-    corr_p = sum(c * bp for c, (bp, _) in zip(coef, basis))
-    corr_m = sum(c * bm for c, (_, bm) in zip(coef, basis))
+    corr_p, corr_m = kernel_fields(ve, np.linalg.solve(mat, target))
     return SystemState(grid, f_plus - corr_p, f_minus - corr_m)
 
 

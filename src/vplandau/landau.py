@@ -36,7 +36,7 @@ import scipy.fft as sfft
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
 from .grid import v_derivative_trailing
-from .state import invariant_moments, maxwellian
+from .state import invariant_moments, invariants, maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
@@ -490,10 +490,8 @@ class ConservativeCorrector:
 
     def __init__(self, velocity_grid):
         ve = velocity_grid
-        mu = maxwellian(ve)
-        psi = [ve.coordinate(j) for j in range(3)] + [ve.speed_squared()]
         self.velocity_grid = ve
-        self.basis = np.stack([mu] + [p * mu for p in psi])  # (5, n, n, n)
+        self.basis = invariants(ve)[1]  # psi mu, (5, n, n, n)
         # gram[m, k]: the m-th invariant moment of the k-th basis field
         self.gram_inv = np.linalg.inv(invariant_moments(ve, self.basis))
 

@@ -9,6 +9,7 @@ state cannot be built through the public interface.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,17 +35,29 @@ def maxwellian(velocity_grid):
     return (2.0 * math.pi) ** (-1.5) * np.exp(-0.5 * velocity_grid.speed_squared())
 
 
+@functools.lru_cache(maxsize=None)
+def invariants(velocity_grid):
+    """The collision invariants ``psi = 1, v_1, v_2, v_3, |v|^2`` and
+    ``psi mu``, each stacked on a leading axis; cached per grid, read-only.
+    """
+    ve = velocity_grid
+    psi = np.stack([np.ones(ve.shape), *(ve.coordinate(j) for j in range(3)),
+                    ve.speed_squared()])
+    psi_mu = psi * maxwellian(ve)
+    psi.flags.writeable = psi_mu.flags.writeable = False
+    return psi, psi_mu
+
+
 def invariant_moments(velocity_grid, f):
-    """``int psi f dv`` for the collision invariants ``psi = 1, v_1, v_2, v_3,
-    |v|^2``, stacked on a new leading axis.
+    """``int psi f dv`` for the collision invariants, stacked on a new
+    leading axis.
 
     The integrals reduce over the trailing three (velocity) axes of ``f``, so
     a phase-space field gives one spatial field per invariant.
     """
-    psi = [velocity_grid.coordinate(j) for j in range(3)]
-    psi.append(velocity_grid.speed_squared())
-    moments = [np.sum(f, axis=_V_AXES)]
-    moments += [np.sum(f * p, axis=_V_AXES) for p in psi]
+    psi = invariants(velocity_grid)[0]
+    moments = [np.sum(f, axis=_V_AXES)]  # psi_0 = 1 needs no product
+    moments += [np.sum(f * p, axis=_V_AXES) for p in psi[1:]]
     return np.stack(moments) * velocity_grid.node_weight
 
 
@@ -107,87 +120,78 @@ def l2_norm_x(grid, field_x):
 # ---- moments and projections ----------------------------------------------
 
 
-@dataclass
-class MacroMoments:
-    """Spatial fields (a+, a-, b, c) of the kernel decomposition."""
-
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    b: np.ndarray  # shape (3,) + x-shape
-    c: np.ndarray
-
-
-def extract_moments(state):
-    """Macroscopic moments a+- = int f dv, b = (1/2) int v (f+ + f-) dv,
-    c = int (|v|^2 - 3)/12 (f+ + f-) dv, each as a spatial field."""
-    g = state.grid
-    ve = g.velocity
-    s = state.f_plus + state.f_minus
-    a_plus = integrate_v(g, state.f_plus)
-    a_minus = integrate_v(g, state.f_minus)
-    b = np.stack([0.5 * integrate_v(g, ve.coordinate(j) * s) for j in range(3)])
-    w = (ve.speed_squared() - 3.0) / 12.0
-    c = integrate_v(g, w * s)
-    return MacroMoments(a_plus=a_plus, a_minus=a_minus, b=b, c=c)
-
-
-def assemble_kernel_field(grid, a, b, c):
-    """``(a + v.b + (|v|^2-3) c) mu`` for spatial coefficient fields."""
-    ve = grid.velocity
-    mu = maxwellian(ve)
-    # spatial fields broadcast against trailing velocity axes
-    xpad = (slice(None),) * grid.dim_x + (None, None, None)
-    out = a[xpad] * mu
-    for j in range(3):
-        out = out + b[j][xpad] * (ve.coordinate(j) * mu)
-    out = out + c[xpad] * ((ve.speed_squared() - 3.0) * mu)
-    return out
-
-
-def kernel_pair_basis(velocity_grid):
-    """The six global kernel fields as (plus part, minus part) pairs.
-
-    ``(mu, 0)``, ``(0, mu)``, ``(v_j mu, v_j mu)`` for j = 1..3 and
-    ``(e, e)`` with ``e = (|v|^2 - 3) mu``: the basis of the initial
-    conservation projection and the synthesis fields of ``C_k``.
+def _coefficient_map():
+    """Per species, the 6x5 map from the invariant moments ``int psi f dv``
+    to the kernel coefficients ``(a+, a-, b_1, b_2, b_3, c)``:
+    ``a+- = int f+- dv``, ``b = (1/2) int v (f+ + f-) dv`` and
+    ``c = int (|v|^2 - 3)/12 (f+ + f-) dv``.
     """
-    mu = maxwellian(velocity_grid)
-    zero = np.zeros_like(mu)
-    basis = [(mu, zero), (zero, mu)]
-    basis += [(velocity_grid.coordinate(j) * mu,) * 2 for j in range(3)]
-    e = (velocity_grid.speed_squared() - 3.0) * mu
-    return basis + [(e, e)]
+    a = np.zeros((2, 6, 5))
+    for s in range(2):
+        a[s, s, 0] = 1.0
+        a[s, 2:5, 1:4] = 0.5 * np.eye(3)
+        a[s, 5, 0], a[s, 5, 4] = -3.0 / 12.0, 1.0 / 12.0
+    a.flags.writeable = False
+    return a
+
+
+_COEFFICIENT_MAP = _coefficient_map()
+
+
+def kernel_coefficients(velocity_grid, f_plus, f_minus):
+    """Coefficients ``(a+, a-, b_1, b_2, b_3, c)`` of the kernel decomposition,
+    stacked on a leading axis (see ``_coefficient_map``).
+    """
+    return sum(np.tensordot(a, invariant_moments(velocity_grid, f), 1)
+               for a, f in zip(_COEFFICIENT_MAP, (f_plus, f_minus)))
+
+
+def kernel_fields(velocity_grid, coef):
+    """``(a+- + v.b + (|v|^2 - 3) c) mu`` for both species, from the
+    coefficients ``(a+, a-, b_1, b_2, b_3, c)`` on the leading axis of
+    ``coef``; its other axes land ahead of the velocity axes.
+
+    ``kernel_fields(ve, np.eye(6))`` is the six-pair basis ``(mu, 0)``,
+    ``(0, mu)``, ``(v_j mu, v_j mu)`` and ``((|v|^2 - 3) mu, same)``.
+    """
+    psi, psi_mu = invariants(velocity_grid)
+    shared = [*psi_mu[1:4], (psi[4] - 3.0) * psi_mu[0]]
+
+    def field(a):
+        out = np.multiply.outer(a, psi_mu[0])
+        for c, basis in zip(coef[2:], shared):
+            out += np.multiply.outer(c, basis)
+        return out
+
+    return field(coef[0]), field(coef[1])
+
+
+def project_P_pair(velocity_grid, f_plus, f_minus):
+    """Projection of a species pair onto the local kernel span."""
+    return kernel_fields(velocity_grid,
+                         kernel_coefficients(velocity_grid, f_plus, f_minus))
+
+
+def project_Pi_pair(velocity_grid, f_plus, f_minus):
+    """Global projection of a species pair: the kernel fields of the
+    x-averaged coefficients.
+
+    Averaging the local coefficients over the grid nodes makes the operator
+    idempotent on the discrete grid.
+    """
+    coef = kernel_coefficients(velocity_grid, f_plus, f_minus)
+    mean = coef.mean(axis=tuple(range(1, coef.ndim)), keepdims=True)
+    return kernel_fields(velocity_grid, np.broadcast_to(mean, coef.shape))
 
 
 def project_P(state):
     """Projection onto the local kernel span per species; returns (P f+, P f-)."""
-    m = extract_moments(state)
-    g = state.grid
-    p_plus = assemble_kernel_field(g, m.a_plus, m.b, m.c)
-    p_minus = assemble_kernel_field(g, m.a_minus, m.b, m.c)
-    return p_plus, p_minus
+    return project_P_pair(state.grid.velocity, state.f_plus, state.f_minus)
 
 
 def project_Pi(state):
-    """Global projection: same kernel basis with x-averaged coefficients.
-
-    Coefficients are the volume-normalized spatial averages of the local
-    moments, which makes the operator idempotent on the discrete grid.
-    """
-    m = extract_moments(state)
-    g = state.grid
-    volx = g.spatial.volume
-    a_p = integrate_x(g, m.a_plus) / volx
-    a_m = integrate_x(g, m.a_minus) / volx
-    b = np.array([integrate_x(g, m.b[j]) / volx for j in range(3)])
-    c = integrate_x(g, m.c) / volx
-    xshape = g.spatial.shape
-    const = lambda val: np.full(xshape, val)
-    pi_plus = assemble_kernel_field(g, const(a_p), [const(bj) for bj in b],
-                                    const(c))
-    pi_minus = assemble_kernel_field(g, const(a_m), [const(bj) for bj in b],
-                                     const(c))
-    return pi_plus, pi_minus
+    """Global projection of the state's pair; returns (Pi f+, Pi f-)."""
+    return project_Pi_pair(state.grid.velocity, state.f_plus, state.f_minus)
 
 
 def projection_upper_constant(grid, k):
@@ -201,26 +205,13 @@ def projection_upper_constant(grid, k):
     ``Gamma`` that of the analysis functionals in ``L^2(<v>^{-2k})``.
     """
     ve = grid.velocity
-    vs = [ve.coordinate(j) for j in range(3)]
-    synth = kernel_pair_basis(ve)
-    zero = np.zeros(ve.shape)
-    one = np.ones(ve.shape)
-    ana = [(one, zero), (zero, one)]
-    ana += [(0.5 * vs[j], 0.5 * vs[j]) for j in range(3)]
-    ana += [((ve.speed_squared() - 3.0) / 12.0,) * 2]
-    w2k = (1.0 + ve.speed_squared()) ** k
+    psi = invariants(ve)[0]
+    synth = np.stack(kernel_fields(ve, np.eye(6)))  # (species, field, v)
+    ana = np.einsum("sij,jabc->siabc", _COEFFICIENT_MAP, psi)
+    w2k = (1.0 + psi[4]) ** k
     wv = ve.node_weight
-    n = len(synth)
-    gram_n = np.zeros((n, n))
-    gram_g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            gram_n[i, j] = sum(
-                float(np.sum(w2k * a * b)) for a, b in zip(synth[i], synth[j])
-            ) * wv
-            gram_g[i, j] = sum(
-                float(np.sum(a * b / w2k)) for a, b in zip(ana[i], ana[j])
-            ) * wv
+    gram_n = np.einsum("siabc,sjabc,abc->ij", synth, synth, w2k) * wv
+    gram_g = np.einsum("siabc,sjabc,abc->ij", ana, ana, 1.0 / w2k) * wv
     b_sq = float(np.max(np.real(np.linalg.eigvals(gram_g @ gram_n))))
     return 2.0 + 3.0 * b_sq
 

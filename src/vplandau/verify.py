@@ -17,11 +17,10 @@ from .grid import l2_norm
 from .landau import q_landau_direct, q_landau_fft
 from .oracle import random_bandlimited_v
 from .state import (
-    SystemState,
     invariant_moments,
     maxwellian,
-    project_P,
-    project_Pi,
+    project_P_pair,
+    project_Pi_pair,
 )
 from .weights import weight_inequality_suite
 
@@ -96,7 +95,8 @@ def projection_defects(grid, rng, samples):
     """Worst relative defects of ``P^2 = P``, ``Pi^2 = Pi`` and ``Pi(I-P) = 0``.
 
     Each sample is a species pair of Maxwellian-times-polynomial fields
-    with random coefficients and a cosine/sine modulation in x.
+    with random coefficients and a cosine/sine modulation in x.  The
+    projections act on the raw pairs, which need not be charge neutral.
     """
     mu = maxwellian(grid.velocity)
     ve = grid.velocity
@@ -113,14 +113,13 @@ def projection_defects(grid, rng, samples):
             c[1] + 0.2 * c[2] * ve.coordinate(0) + 0.1 * ve.speed_squared())
         f2 = (1 - 0.3 * np.sin(x) * c[3]) * mu * (
             1 + 0.2 * c[4] * ve.coordinate(1) * ve.coordinate(2))
-        st = SystemState(grid, f1, f2)
         scale = max(l2_norm(grid, f1), l2_norm(grid, f2))
-        p1 = project_P(st)
-        p2 = project_P(st.with_fields(*p1))
+        p1 = project_P_pair(ve, f1, f2)
+        p2 = project_P_pair(ve, *p1)
         update("p_idempotent", (p2[0] - p1[0], p2[1] - p1[1]), scale)
-        q1 = project_Pi(st)
-        q2 = project_Pi(st.with_fields(*q1))
+        q1 = project_Pi_pair(ve, f1, f2)
+        q2 = project_Pi_pair(ve, *q1)
         update("pi_idempotent", (q2[0] - q1[0], q2[1] - q1[1]), scale)
         update("pi_of_micro",
-               project_Pi(st.with_fields(f1 - p1[0], f2 - p1[1])), scale)
+               project_Pi_pair(ve, f1 - p1[0], f2 - p1[1]), scale)
     return worst

@@ -309,6 +309,30 @@ mode = linearized
         assert summary["conservation_max_drift"] <= LINEARIZED_DRIFT_TOL
         assert summary["flags"]["conservation"]
 
+    def test_linearized_decay_flag_reads_the_fitted_rate(self, tmp_path):
+        # the README's locally Maxwellian data at 4x16^3: ||(I-P) f||^2
+        # starts at round-off (3.6e-23), transport feeds it up to 1.0e-7
+        # (t = 0.8), then it decays to 7.4e-13 at t = 6
+        from vplandau.experiments import run_experiment
+
+        cfg = parse_config(
+            self.LINEARIZED.replace("n_v = 8", "n_v = 16")
+            + f"[output]\ndirectory = {tmp_path}\n",
+            overrides={"time.dt": "0.05", "time.t_final": "6.0"})
+        summary, passed = run_experiment(cfg)
+        assert summary["fit_exponential"]["rate"] > 2.0
+        assert summary["flags"]["decayed"] and passed
+
+    def test_linearized_decay_flag_stays_false_while_rising(self, tmp_path):
+        # t <= 0.3: ||(I-P) f|| is still growing from round-off
+        from vplandau.experiments import run_experiment
+
+        cfg = parse_config(
+            self.LINEARIZED + f"[output]\ndirectory = {tmp_path}\n")
+        summary, passed = run_experiment(cfg)
+        assert summary["fit_exponential"]["rate"] < 0.0
+        assert not summary["flags"]["decayed"] and not passed
+
     def test_summary_reports_the_positivity_rescue(self, tmp_path):
         # criterion 7's data: the weighted profile needs six halvings
         from vplandau.experiments import run_experiment

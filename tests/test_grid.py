@@ -18,7 +18,6 @@ from vplandau.grid import (
     quadrature_integral,
     resolution_tolerance,
     spectral_derivative,
-    spectral_l2_norm,
     truncation_tolerance,
 )
 from vplandau.state import maxwellian
@@ -85,7 +84,11 @@ class TestTransforms:
     def test_parseval(self, desk_grid, rng):
         vals = rng.standard_normal(desk_grid.shape)
         a = l2_norm(desk_grid, vals)
-        b = spectral_l2_norm(desk_grid, forward_transform(desk_grid, vals))
+        # forward-normalized coefficients: Parseval with the box volume
+        vol = (desk_grid.spatial.volume
+               * (2.0 * desk_grid.velocity.cutoff_L) ** 3)
+        coeffs = forward_transform(desk_grid, vals)
+        b = math.sqrt(vol * float(np.sum(np.abs(coeffs) ** 2)))
         assert abs(a - b) <= 1e-12 * a
 
 

@@ -15,12 +15,14 @@ from vplandau.grid import (
     l2_norm,
     truncation_tolerance,
 )
+from vplandau.landau import ConservativeCorrector
 from vplandau.state import (
     SystemState,
     check_conservation,
-    extract_moments,
+    invariants,
+    kernel_coefficients,
+    kernel_fields,
     load_checkpoint,
-    assemble_kernel_field,
     maxwellian,
     project_P,
     project_Pi,
@@ -55,35 +57,67 @@ class TestMaxwellian:
             assert abs(m) <= 1e-13
 
 
+class TestInvariantTable:
+    def test_cached_and_read_only(self, clean_grid):
+        ve = clean_grid.velocity
+        psi, psi_mu = invariants(ve)
+        assert invariants(ve) is invariants(ve)
+        assert psi.shape == psi_mu.shape == (5,) + ve.shape
+        for table in (psi, psi_mu):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 1.0
+
+    def test_basis_pairs(self, desk_grid):
+        ve = desk_grid.velocity
+        mu = maxwellian(ve)
+        zero = np.zeros_like(mu)
+        e = (ve.speed_squared() - 3.0) * mu
+        pairs = [(mu, zero), (zero, mu)]
+        pairs += [(ve.coordinate(j) * mu,) * 2 for j in range(3)]
+        pairs += [(e, e)]
+        plus, minus = kernel_fields(ve, np.eye(6))
+        assert plus.shape == minus.shape == (6,) + ve.shape
+        for i, (bp, bm) in enumerate(pairs):
+            assert np.max(np.abs(plus[i] - bp)) <= 1e-15 * np.max(mu)
+            assert np.max(np.abs(minus[i] - bm)) <= 1e-15 * np.max(mu)
+
+    def test_corrector_basis(self, desk_grid):
+        ve = desk_grid.velocity
+        mu = maxwellian(ve)
+        psi = [ve.coordinate(j) for j in range(3)] + [ve.speed_squared()]
+        expected = np.stack([mu] + [p * mu for p in psi])
+        assert np.array_equal(ConservativeCorrector(ve).basis, expected)
+
+
 class TestMoments:
     def test_reference_moments(self, clean_grid):
         mu = maxwellian(clean_grid.velocity)
-        st = SystemState(clean_grid, *broadcast_pair(clean_grid, mu, mu))
-        m = extract_moments(st)
+        coef = kernel_coefficients(clean_grid.velocity,
+                                   *broadcast_pair(clean_grid, mu, mu))
         tol = truncation_tolerance(10.0, 32, 4)
-        assert np.max(np.abs(m.a_plus - 1.0)) <= tol
-        assert np.max(np.abs(m.b)) <= tol
-        assert np.max(np.abs(m.c)) <= tol
+        assert np.max(np.abs(coef[0] - 1.0)) <= tol
+        assert np.max(np.abs(coef[2:5])) <= tol
+        assert np.max(np.abs(coef[5])) <= tol
 
     def test_energy_mode(self, clean_grid):
         ve = clean_grid.velocity
         e = (ve.speed_squared() - 3.0) * maxwellian(ve)
-        st = SystemState(clean_grid, *broadcast_pair(clean_grid, e, e))
-        m = extract_moments(st)
+        coef = kernel_coefficients(ve, *broadcast_pair(clean_grid, e, e))
         # c = (int |v|^4 mu - 6 int |v|^2 mu + 9)/6 = (15 - 18 + 9)/6 = 1
-        assert np.max(np.abs(m.c - 1.0)) <= truncation_tolerance(10.0, 32, 4)
-        assert np.max(np.abs(m.a_plus)) <= truncation_tolerance(10.0, 32, 2)
+        tol = truncation_tolerance(10.0, 32, 4)
+        assert np.max(np.abs(coef[5] - 1.0)) <= tol
+        assert np.max(np.abs(coef[0])) <= truncation_tolerance(10.0, 32, 2)
 
     def test_momentum_mode(self, clean_grid):
         ve = clean_grid.velocity
         vmu = ve.coordinate(0) * maxwellian(ve)
-        st = SystemState(clean_grid, *broadcast_pair(clean_grid, vmu, vmu))
-        m = extract_moments(st)
+        coef = kernel_coefficients(ve, *broadcast_pair(clean_grid, vmu, vmu))
         tol = truncation_tolerance(10.0, 32, 3)
         # b1 = (1/2) int v1^2 (f+ + f-) = int v1^2 mu = 1 by isotropy
-        assert np.max(np.abs(m.b[0] - 1.0)) <= tol
-        assert np.max(np.abs(m.b[1])) <= tol
-        assert np.max(np.abs(m.c)) <= tol
+        assert np.max(np.abs(coef[2] - 1.0)) <= tol
+        assert np.max(np.abs(coef[3])) <= tol
+        assert np.max(np.abs(coef[5])) <= tol
 
     def test_moment_reconstruction_idempotent(self, clean_grid, rng):
         mu = maxwellian(clean_grid.velocity)
@@ -91,12 +125,9 @@ class TestMoments:
         x = clean_grid.spatial.coordinate(0)[:, None, None, None]
         f1 = (1 + 0.5 * np.cos(x)) * mu * (1 + 0.3 * ve.coordinate(1))
         f2 = (1 - 0.5 * np.sin(x)) * mu
-        st = SystemState(clean_grid, f1, f2)
-        m = extract_moments(st)
-        rec_p = assemble_kernel_field(clean_grid, m.a_plus, m.b, m.c)
-        rec_m = assemble_kernel_field(clean_grid, m.a_minus, m.b, m.c)
-        m2 = extract_moments(st.with_fields(rec_p, rec_m))
-        for a, b in ((m.a_plus, m2.a_plus), (m.b, m2.b), (m.c, m2.c)):
+        coef = kernel_coefficients(ve, f1, f2)
+        coef2 = kernel_coefficients(ve, *kernel_fields(ve, coef))
+        for a, b in zip(coef, coef2):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
