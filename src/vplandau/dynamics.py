@@ -93,8 +93,9 @@ def transport_step(state, dt, phase=None, workers=None):
     for f in (state.f_plus, state.f_minus):
         hat = sfft.fftn(f, axes=axes, norm="forward", workers=workers)
         hat *= phase
+        # a copy: the ``.real`` view would keep the complex array alive
         out.append(sfft.ifftn(hat, axes=axes, norm="forward",
-                              overwrite_x=True, workers=workers).real)
+                              overwrite_x=True, workers=workers).real.copy())
     _check_finite("transport", state.time, out)
     return state.with_fields(out[0], out[1], time=state.time + dt)
 

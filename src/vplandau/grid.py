@@ -12,8 +12,14 @@ Conventions used throughout the package:
   spectral operations.  Velocity wavenumbers are ``(pi/L) * m`` for integer
   ``m`` in FFT layout.
 * Every spectral derivative -- phase-space, velocity-only, spatial, the
-  Poisson gradient and the weighted mixed derivatives -- multiplies by
-  :func:`derivative_multiplier`, the one place the Nyquist rule lives.
+  Poisson gradient and the weighted mixed derivatives -- is built from
+  :func:`derivative_multiplier`, the one place the Nyquist rule lives.  The
+  Poisson gradient multiplies Fourier coefficients by it; every other
+  derivative is one matrix product along its axis with
+  :func:`derivative_matrix`, the multiplier's dense ``n x n`` real-space
+  form (on the short axes used here a BLAS product is faster than a
+  transform pair).  The BLAS splits a product's output, never its sums,
+  so results do not depend on its thread count.
 * Phase-space arrays carry spatial axes first, velocity axes last:
   ``shape = (n_x,)*dim_x + (n_v, n_v, n_v)``.
 * Transform normalization is the ``norm="forward"`` DFT: the forward
@@ -249,25 +255,39 @@ def wavenumber_squared(axis_grid, ndim=None):
     return sum(along(k, ndim - n_axes + a, ndim) ** 2 for a in range(n_axes))
 
 
-def axis_derivative(axis_grid, values, axis, order=1, workers=None):
-    """Spectral derivative along array ``axis``, sampled by ``axis_grid``.
+@lru_cache(maxsize=None)
+def derivative_matrix(axis_grid, order):
+    """Read-only real ``n x n`` matrix of the spectral derivative of an axis.
 
-    Real input goes through ``rfft``/``irfft``, multiplied by the first
-    ``n // 2 + 1`` entries of :func:`derivative_multiplier` (the
-    non-negative frequencies and the Nyquist mode); complex input through
-    ``fft``/``ifft`` with the whole multiplier.
+    Column ``j`` is the derivative of the ``j``-th unit vector, taken
+    through ``rfft``/``irfft`` with the first ``n // 2 + 1`` entries of
+    :func:`derivative_multiplier`, so the Nyquist rule is the multiplier's.
     """
     mult = derivative_multiplier(axis_grid, order)
-    if np.iscomplexobj(values):
-        hat = sfft.fft(values, axis=axis, norm="forward", workers=workers)
-        hat *= along(mult, axis, values.ndim)
-        return sfft.ifft(hat, axis=axis, norm="forward", overwrite_x=True,
-                         workers=workers)
-    n = values.shape[axis]
-    hat = sfft.rfft(values, axis=axis, norm="forward", workers=workers)
-    hat *= along(mult[: n // 2 + 1], axis, values.ndim)
-    return sfft.irfft(hat, n=n, axis=axis, norm="forward", overwrite_x=True,
-                      workers=workers)
+    n = mult.size
+    hat = sfft.rfft(np.eye(n), axis=0, norm="forward")
+    hat *= mult[: n // 2 + 1, None]
+    mat = sfft.irfft(hat, n=n, axis=0, norm="forward")
+    mat.setflags(write=False)
+    return mat
+
+
+def axis_derivative(axis_grid, values, axis, order=1):
+    """Spectral derivative along array ``axis``, sampled by ``axis_grid``.
+
+    One matrix product with :func:`derivative_matrix`: ``(pre, n) @ D^T``
+    when ``axis`` is last, else ``D @ (pre, n, post)`` on the input
+    reshaped around the axis.  Real input gives real output, complex input
+    complex output.
+    """
+    mat = derivative_matrix(axis_grid, order)
+    axis %= values.ndim
+    shape = values.shape
+    n = shape[axis]
+    post = math.prod(shape[axis + 1:])
+    if post == 1:
+        return (values.reshape(-1, n) @ mat.T).reshape(shape)
+    return (mat @ values.reshape(-1, n, post)).reshape(shape)
 
 
 def spectral_derivative(grid, values, axis, order=1):
@@ -315,13 +335,12 @@ def l2_norm(grid, values, domain="xv"):
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * w)
 
 
-def v_derivative_trailing(velocity_grid, values, axis, workers=None):
+def v_derivative_trailing(velocity_grid, values, axis):
     """Spectral d/dv_axis acting on the trailing three (velocity) axes.
 
     Works for velocity-only fields and for phase-space fields alike.
     """
-    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis,
-                           workers=workers)
+    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis)
 
 
 # ---- truncation / aliasing tolerance -------------------------------------

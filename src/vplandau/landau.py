@@ -355,8 +355,7 @@ def _flux(tables, phi_conv, deriv_conv, f, df, i):
     return flux
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None,
-                        workers=None):
+def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
     flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
@@ -365,13 +364,13 @@ def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None,
     before the divergence, which then yields the sum of both operators.
     """
     ve = tables.velocity_grid
-    df = [_v_derivative(ve, f, j, workers=workers) for j in range(3)]
+    df = [_v_derivative(ve, f, j) for j in range(3)]
     out = None
     for i in range(3):
         flux = _flux(tables, phi_conv, deriv_conv, f, df, i)
         if add_flux is not None:
             flux += add_flux[i]
-        term = _v_derivative(ve, flux, i, workers=workers)
+        term = _v_derivative(ve, flux, i)
         if out is None:
             out = term
         else:
@@ -547,7 +546,7 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
     def rhs(f_plus, f_minus):
         rp, rm = q_from_convolutions(tables, phi_tot, der_tot,
                                      np.stack([f_plus, f_minus]),
-                                     add_flux=flux_s_mu, workers=workers)
+                                     add_flux=flux_s_mu)
         if corrector is not None:
             rp, rm = corrector.apply(rp, rm)
         return rp, rm

@@ -33,7 +33,7 @@ import scipy.fft as sfft
 from .errors import ParameterError
 from .grid import (
     along,
-    derivative_multiplier,
+    axis_derivative,
     l2_norm,
     v_derivative_trailing,
     wavenumber_squared,
@@ -327,33 +327,29 @@ def mixed_indices(dim_x, max_order=WEIGHT_MAX_ORDER):
 
 
 def mixed_derivatives(grid, values, indices):
-    """Spectral ``d^alpha_beta`` for every index pair, from one forward FFT.
+    """Spectral ``d^alpha_beta`` (``|alpha| + |beta| <= 2``) per index pair.
 
-    Real transforms over every axis (``rfftn``/``irfftn``): the last axis
-    keeps the first ``n // 2 + 1`` entries of its
-    :func:`derivative_multiplier`.  The ``(0, 0)`` pair is ``values`` itself.
+    A pure derivative is one :func:`axis_derivative` of its order (the
+    order-2 matrix keeps the Nyquist entry); a mixed one differentiates the
+    first-order derivative along its first axis along its second.  The
+    ``(0, 0)`` pair is ``values`` itself.
     """
     grid.check_shape(values, "xv")
-    shape = values.shape
-    nd = len(shape)
-    axes = tuple(range(nd))
-    hat0 = sfft.rfftn(values, axes=axes, norm="forward")
-    keep = shape[:-1] + (shape[-1] // 2 + 1,)
-    mults = {axis: [along(derivative_multiplier(grid.axis_grid(axis), o)
-                          [:keep[axis]], axis, nd) for o in (1, 2)]
-             for axis in axes}
+
+    @lru_cache(maxsize=None)
+    def pure(axis, order):
+        return axis_derivative(grid.axis_grid(axis), values, axis, order)
+
     out = {}
     for al, be in indices:
-        orders = al + be
-        if not any(orders):
+        axes = [a for a, o in enumerate(al + be) for _ in range(o)]
+        if not axes:
             out[(al, be)] = values
-            continue
-        mult = 1.0
-        for axis, o in enumerate(orders):
-            if o:
-                mult = mult * mults[axis][o - 1]
-        out[(al, be)] = sfft.irfftn(hat0 * mult, s=shape, axes=axes,
-                                    norm="forward", overwrite_x=True)
+        elif len(set(axes)) == 1:
+            out[(al, be)] = pure(axes[0], len(axes))
+        else:
+            a, b = axes
+            out[(al, be)] = axis_derivative(grid.axis_grid(b), pure(a, 1), b)
     return out
 
 

@@ -290,6 +290,11 @@ class TestAdvance:
         exact = 1e-3 * np.cos(x - v1 * 1.0) * mu
         assert np.max(np.abs(out.f_plus - exact)) <= 1e-10
 
+    def test_transport_output_owns_its_memory(self, small_grid):
+        # a view into the complex transform would keep twice its bytes
+        out = transport_step(single_mode_state(small_grid), 0.05)
+        assert out.f_plus.base is None and out.f_minus.base is None
+
     def test_collision_needs_tables(self, small_grid):
         st = single_mode_state(small_grid)
         with pytest.raises(ValueError, match="kernel tables"):

@@ -9,7 +9,13 @@ import pytest
 
 from vplandau import landau
 from vplandau.errors import CostGuardError, GridMismatchError, ParameterError
-from vplandau.grid import VelocityGrid, PhaseGrid, SpatialGrid, integrate_v
+from vplandau.grid import (
+    PhaseGrid,
+    SpatialGrid,
+    VelocityGrid,
+    integrate_v,
+    v_derivative_trailing,
+)
 from vplandau.landau import (
     ConservativeCorrector,
     LandauKernelTables,
@@ -245,6 +251,22 @@ class TestConvolution:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * product_bytes
+
+
+class TestDerivativeMemory:
+    def test_peak_is_about_the_output(self, rng):
+        # one matrix product per call: no transformed copy of the field
+        ve = VelocityGrid(32, 8.0)
+        f = rng.standard_normal((2, 8) + ve.shape)
+        for axis in range(3):
+            v_derivative_trailing(ve, f, axis)  # warm up
+            tracemalloc.start()
+            try:
+                v_derivative_trailing(ve, f, axis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * f.nbytes
 
 
 class TestQEvaluation:

@@ -1,12 +1,17 @@
 """Weight algebra, the inequality suite, and the weighted functionals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.integrate import quad
 
+import vplandau
 from vplandau import landau
 from vplandau.dynamics import TimeStepConfig, advance
 from vplandau.errors import ParameterError
@@ -20,7 +25,12 @@ from vplandau.grid import (
 )
 from vplandau.initial import make_initial_condition
 from vplandau.oracle import highres_norm
-from vplandau.state import SystemState, maxwellian, project_P, projection_upper_constant
+from vplandau.state import (
+    SystemState,
+    maxwellian,
+    project_P_pair,
+    projection_upper_constant,
+)
 from vplandau.weights import (
     WeightLadderConstants,
     WeightSpec,
@@ -322,13 +332,12 @@ class TestNormEquivalence:
                 * (1 + 0.2 * rng.standard_normal() * g.velocity.coordinate(0))
             f2 = mu * rng.standard_normal() * np.exp(
                 -0.1 * g.velocity.speed_squared()) * np.ones(g.shape)
-            st = SystemState(g, f1, f2)
-            pp, pm = project_P(st)
-            total = norm_L2k(g, st.f_plus, k) ** 2 \
-                + norm_L2k(g, st.f_minus, k) ** 2
+            # the pairs are not charge neutral: project them directly
+            pp, pm = project_P_pair(g.velocity, f1, f2)
+            total = norm_L2k(g, f1, k) ** 2 + norm_L2k(g, f2, k) ** 2
             split = (norm_L2k(g, pp, k) ** 2 + norm_L2k(g, pm, k) ** 2
-                     + norm_L2k(g, st.f_plus - pp, k) ** 2
-                     + norm_L2k(g, st.f_minus - pm, k) ** 2)
+                     + norm_L2k(g, f1 - pp, k) ** 2
+                     + norm_L2k(g, f2 - pm, k) ** 2)
             assert split >= 0.5 * total * (1 - 1e-12)
             assert split <= upper * total * (1 + 1e-12)
 
@@ -452,3 +461,47 @@ class TestSharedPass:
             assert np.max(np.abs(der - want)) <= 1e-13 * np.max(np.abs(want))
         zero = ((0,) * dim_x, (0, 0, 0))
         assert ders[zero] is f
+
+
+# ---- outputs do not depend on the BLAS thread count ---------------------------
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from vplandau import landau
+from vplandau.dynamics import TimeStepConfig, advance
+from vplandau.grid import (PhaseGrid, SpatialGrid, VelocityGrid,
+                           v_derivative_trailing)
+from vplandau.initial import make_initial_condition
+from vplandau.weights import WeightSpec, energy_dissipation
+
+h = hashlib.sha256()
+ve = VelocityGrid(32, 8.0)
+f = np.random.default_rng(3).standard_normal((2, 8) + ve.shape)
+for a in range(3):
+    h.update(v_derivative_trailing(ve, f, a).tobytes())
+grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
+tables = landau.build_kernel_tables(-3.0, grid.velocity, measure=False)
+state = advance(make_initial_condition(grid, amplitude=1e-3, seed=7), 0.02,
+                TimeStepConfig(dt=0.01), tables)
+h.update(state.f_plus.tobytes() + state.f_minus.tobytes())
+ed = energy_dissipation(state, WeightSpec("landau", -3.0, 10.0))
+h.update(np.array(ed).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_outputs_byte_identical_across_blas_threads():
+    # the derivatives are BLAS matrix products; their threads split the
+    # output, never a sum, so every thread count gives the same bytes
+    src = str(Path(vplandau.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
