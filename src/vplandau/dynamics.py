@@ -174,12 +174,14 @@ def _linearized_field_step(state, dt):
 
 
 def _rk4_pair(rhs, fp, fm, dt):
-    k1 = rhs(fp, fm)
-    k2 = rhs(fp + 0.5 * dt * k1[0], fm + 0.5 * dt * k1[1])
-    k3 = rhs(fp + 0.5 * dt * k2[0], fm + 0.5 * dt * k2[1])
-    k4 = rhs(fp + dt * k3[0], fm + dt * k3[1])
-    return (fp + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            fm + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+    # rhs returns fresh arrays, so k1's arrays take the sum
+    # k1 + 2 k2 + 2 k3 + k4, added in that order
+    k = total = rhs(fp, fm)
+    for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = rhs(fp + c * dt * k[0], fm + c * dt * k[1])
+        for t, ks in zip(total, k):
+            t += w * ks
+    return fp + dt / 6.0 * total[0], fm + dt / 6.0 * total[1]
 
 
 def _chebyshev(j, x, order=0):

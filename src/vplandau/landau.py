@@ -1,4 +1,4 @@
-"""Bilinear Landau collision operator via FFT convolutions plus a direct oracle.
+"""Bilinear Landau collision operator via real BLAS convolutions and an oracle.
 
 The operator in divergence form, with the derivative moved off the second
 argument through the kernel identity ``d_j phi^{ij}(u) = -2 |u|^gamma u_i``:
@@ -10,13 +10,16 @@ where ``*`` is velocity convolution, ``phi^{ij}(u) = |u|^{gamma+2}
 velocity box.  Both evaluation paths share the sampled kernel tables and the
 origin regularization; they differ in how the convolution sums are computed:
 
-* fast path: pruned transforms on the doubled box (no wrap-around aliasing),
-* oracle: dense O(N^2) summation over node pairs (no FFT machinery at all).
+* fast path: real matrix products in a cos/sin basis of the doubled box (no
+  wrap-around aliasing; see :func:`convolve_tables`),
+* oracle: dense O(N^2) summation over node pairs (no transforms at all).
 
 Kernels are sampled on the difference lattice covering ``[-2L, 2L)``; for
 ``gamma < 0`` the weights near the singular origin are calibrated so the
 lattice sums reproduce closed-form Gaussian moments (:func:`_calibration`).
-The odd derivative kernels vanish at the origin by symmetry.
+The odd derivative kernels vanish at the origin by symmetry.  Every kernel is
+even or odd along each velocity axis (``_PARITY``), which makes its
+doubled-box transform real up to a fixed power of ``i``.
 
 The collision right-hand side of the perturbation system,
 ``Q(S, mu) + Q(2 mu + S, f_pm)`` with ``S = f+ + f-``, is assembled only in
@@ -27,18 +30,28 @@ collision substeps of :mod:`vplandau.dynamics` all go through it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-import scipy.fft as sfft
+from numpy.fft import rfftn
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
 from .grid import v_derivative_trailing
 from .state import invariant_moments, invariants, maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# Table order: phi^{ij} over _SYM_PAIRS, then D_i = -2 |u|^gamma u_i.
+_KERNEL_NAMES = tuple(f"phi^{i + 1}{j + 1}" for i, j in _SYM_PAIRS) + tuple(
+    f"D_{i + 1}" for i in range(3))
+# Parity of each kernel along the velocity axes (1: odd): phi^{ii} is even,
+# phi^{ij} odd along i and j, D_i odd along i.
+_PARITY = tuple(tuple(int(i != j and a in (i, j)) for a in range(3))
+                for i, j in _SYM_PAIRS) + tuple(
+    tuple(int(a == i) for a in range(3)) for i in range(3))
 
 
 def _difference_lattice(velocity_grid):
@@ -163,8 +176,9 @@ def _calibration(gamma, velocity_grid):
     the isotropic (P2) and deviatoric (P3) ones, so it is checked as an
     identity.  A singular system or a broken identity raises.
 
-    Both evaluation paths (padded FFT and direct summation) consume the same
-    corrected samples, so the correction never splits the dual route.
+    Both evaluation paths (doubled-box products and direct summation) use
+    the same corrected samples, so the correction never splits the dual
+    route.
     """
     where = (f"gamma={gamma:g}, n_v={velocity_grid.n_v}, "
              f"L={velocity_grid.cutoff_L:g}")
@@ -228,7 +242,7 @@ def _calibration(gamma, velocity_grid):
 
 
 def _kernel_components(gamma, off, velocity_grid):
-    """Corrected kernel samples shared by the FFT path and the oracle.
+    """Corrected kernel samples shared by the fast path and the oracle.
 
     The samples sit on the lattice with offsets ``off`` along each axis.
     For ``gamma >= 0`` the kernels are continuous (value 0 at the origin by
@@ -257,17 +271,21 @@ def _kernel_components(gamma, off, velocity_grid):
 
 @dataclass
 class LandauKernelTables:
-    """Spectral tables of the truncated collision kernels for one grid.
+    """Real doubled-box tables of the truncated collision kernels for one grid.
 
-    ``kernel_hat`` stacks the read-only padded-box real FFTs of phi^{ij} in
-    the order (11, 22, 33, 12, 13, 23), then of d_j phi^{ij} = -2 |u|^gamma
-    u_i.  Kernel data are immutable after construction and shareable across
-    threads; the underscored fields are lazy caches.
+    ``kappa[k]`` is ``i^{|p|}`` times the doubled-box transform of kernel
+    ``k`` (``p`` its parity per axis, ``_PARITY``), real and read-only, shape
+    ``(9, 2 n_v, 2 n_v, 2 n_v)``: phi^{ij} in the order (11, 22, 33, 12, 13,
+    23), then d_j phi^{ij} = -2 |u|^gamma u_i.  Along each axis, index ``0..n``
+    holds frequency ``q = 0..n`` (the cos part of the basis) and index
+    ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  Kernel data are
+    immutable after construction and shareable across threads; the
+    underscored fields are lazy caches.
     """
 
     gamma: float
     velocity_grid: object
-    kernel_hat: np.ndarray
+    kappa: np.ndarray
     epsilon_op: float | None = None
     _mu_conv: tuple | None = field(default=None, repr=False)
     _mu_derivs: list | None = field(default=None, repr=False)
@@ -299,48 +317,168 @@ class LandauKernelTables:
         return self.epsilon_op
 
 
+def _real_table(kernel, parity, out, label):
+    """Write into ``out`` the cos/sin-basis table of one sampled kernel.
+
+    The ``+-2L`` planes (index ``n``) are zeroed in place first: an offset of
+    two box lengths never reaches the kept ``n^3`` corner, so no output
+    changes, and without them the kernel is exactly even or odd along each
+    axis.  Then ``i^{|p|}`` times its transform is real; its frequencies
+    ``0..n`` and ``1..n-1`` per axis are copied into ``out`` by slices.
+    A kernel that breaks its parity, or a transform that keeps an imaginary
+    part above 1e-12 of its largest value, raises.
+    """
+    n = kernel.shape[0] // 2
+    for axis in range(3):
+        kernel[(slice(None),) * axis + (n,)] = 0.0
+    for axis, odd in enumerate(parity):
+        # offsets +-m h sit at indices m and 2n - m; m = 0 mirrors itself
+        ahead = (slice(None),) * axis
+        pos = kernel[ahead + (slice(1, n),)]
+        neg = kernel[ahead + (slice(2 * n - 1, n, -1),)]
+        if (not np.array_equal(pos, -neg if odd else neg)
+                or odd and kernel[ahead + (0,)].any()):
+            raise ParameterError(
+                f"kernel {label} is not {'odd' if odd else 'even'} along "
+                f"velocity axis {axis + 1}")
+    hat = rfftn(kernel) * 1j ** sum(parity)
+    imag = float(np.max(np.abs(hat.imag)))
+    if imag > 1e-12 * float(np.max(np.abs(hat.real))):
+        raise ParameterError(
+            f"kernel {label}: transform keeps an imaginary part of "
+            f"{imag:.3g}")
+    lo, hi = (slice(0, n + 1),) * 2, (slice(n + 1, 2 * n), slice(1, n))
+    for (o1, s1), (o2, s2), (o3, s3) in itertools.product((lo, hi), repeat=3):
+        out[o1, o2, o3] = hat.real[s1, s2, s3]
+
+
 def build_kernel_tables(gamma, velocity_grid, measure=True):
-    """Build the padded-FFT kernel tables for ``gamma`` on ``velocity_grid``."""
+    """Real doubled-box kernel tables for ``gamma`` on ``velocity_grid``.
+
+    Each kernel is sampled on the ``2 n_v`` difference lattice, checked
+    against its recorded parity and transformed one at a time
+    (:func:`_real_table`); ``measure`` also sets ``epsilon_op``.
+    """
     if not (-3.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [-3, 1], got {gamma}")
+    n = velocity_grid.n_v
+    where = f"gamma={gamma:g}, n_v={n}, L={velocity_grid.cutoff_L:g}"
     phis, derivs = _kernel_components(gamma, _difference_lattice(velocity_grid),
                                       velocity_grid)
-    kernel_hat = sfft.rfftn(np.stack(phis + derivs), axes=(-3, -2, -1))
-    kernel_hat.flags.writeable = False
+    kappa = np.empty((len(_PARITY),) + (2 * n,) * 3)
+    for kernel, parity, name, out in zip(phis + derivs, _PARITY,
+                                         _KERNEL_NAMES, kappa):
+        _real_table(kernel, parity, out, f"{name} at {where}")
+    kappa.flags.writeable = False
     tables = LandauKernelTables(gamma=gamma, velocity_grid=velocity_grid,
-                                kernel_hat=kernel_hat)
+                                kappa=kappa)
     if measure:
         tables.measure_epsilon_op()
     return tables
 
 
-# ---- FFT convolution path --------------------------------------------------
+# ---- convolution path -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _basis(velocity_grid):
+    """Matrices of the cos/sin basis of the doubled box, read-only.
+
+    Returns ``(forward_t, forward, inverse, last_t)``.  ``forward`` (2n x n)
+    has rows ``cos(pi q m / n)``, q = 0..n, then ``sin(pi q m / n)``,
+    q = 1..n-1; ``forward_t`` is its transpose.  ``inverse[p]`` (n x 2n)
+    maps back along an axis of parity ``p``: ``[C | S]`` when even,
+    ``[S' | -C']`` when odd, with entries ``cos`` or ``sin(pi q m / n)``
+    weighted ``w_q / 2n`` (``w_0 = w_n = 1``, else 2).  ``last_t[p]`` is
+    ``inverse[p]`` transposed with the quadrature weight folded in.
+    """
+    n = velocity_grid.n_v
+    q = np.r_[0:n + 1, 1:n]
+    angle = (np.pi / n) * (np.outer(q, np.arange(n)) % (2 * n))
+    cos, sin = np.cos(angle), np.sin(angle)
+    forward = np.concatenate([cos[:n + 1], sin[n + 1:]])
+    scale = np.where((q == 0) | (q == n), 1.0, 2.0)[None, :] / (2 * n)
+    inverse = (forward.T * scale,
+               np.concatenate([sin[:n + 1], -cos[n + 1:]]).T * scale)
+
+    def read_only(m):
+        m = np.ascontiguousarray(m)
+        m.flags.writeable = False
+        return m
+
+    return (read_only(forward.T), read_only(forward),
+            tuple(read_only(m) for m in inverse),
+            tuple(read_only(m.T * velocity_grid.node_weight)
+                  for m in inverse))
+
+
+def _scratch(n):
+    """One node's scratch of :func:`_convolve_nodes`: two ``(2n)^3`` and two
+    smaller buffers."""
+    return (np.empty((2 * n, 4 * n * n)), np.empty((2 * n, 4 * n * n)),
+            np.empty((n, 2 * n, 2 * n)), np.empty((n, n, 2 * n)))
+
+
+def _convolve_nodes(tables, nodes, out, index, scratch):
+    """Convolutions of the velocity fields ``nodes[b]``, b in ``index``.
+
+    Per node: three forward products into the ``(2n)^3`` coefficients, then
+    per kernel the real product with its table and three inverse products,
+    the last writing ``out[k, b]``.  ``scratch`` (:func:`_scratch`) holds
+    one node, so its size does not grow with the share of the nodes.
+    """
+    n = tables.velocity_grid.n_v
+    forward_t, forward, inverse, last_t = _basis(tables.velocity_grid)
+    kappa = tables.kappa.reshape(len(tables.kappa), 2 * n, 4 * n * n)
+    coef, prod, wide, narrow = scratch
+    for b in index:
+        np.matmul(nodes[b].reshape(n * n, n), forward_t,
+                  out=narrow.reshape(n * n, 2 * n))
+        np.matmul(forward, narrow, out=wide)
+        np.matmul(forward, wide.reshape(n, 4 * n * n), out=coef)
+        for k, (p1, p2, p3) in enumerate(_PARITY):
+            np.multiply(coef, kappa[k], out=prod)
+            np.matmul(inverse[p1], prod, out=wide.reshape(n, 4 * n * n))
+            np.matmul(inverse[p2], wide, out=narrow)
+            np.matmul(narrow.reshape(n * n, 2 * n), last_t[p3],
+                      out=out[k, b].reshape(n * n, n))
 
 
 def convolve_tables(tables, g, workers=None):
-    """All nine kernel convolutions of ``g``, by pruned transforms.
+    """All nine kernel convolutions of ``g``, by real matrix products.
 
     ``g`` may carry leading (spatial) axes; the convolution acts on the
     trailing three velocity axes.  Returns (phi_conv, deriv_conv): lists of
     arrays shaped like ``g``, scaled by the quadrature weight so that each
-    entry approximates ``integral kernel(v - v') g(v') dv'``.  The
-    doubled-box transforms run axis by axis: forward, the padding is implicit
-    in the transform length, so all-zero lines are skipped; back, one kernel
-    at a time, each axis keeps its first ``n_v`` entries before the next.
+    entry approximates ``integral kernel(v - v') g(v') dv'``.
+
+    The zero-padded circular convolution on the doubled box is diagonal in
+    its Fourier basis; a kernel's parity folds the frequencies ``q`` and
+    ``2n - q`` together, so it runs in the real cos/sin basis of
+    :func:`_basis` (Martucci, IEEE Trans. Signal Process. 42, 1994): a
+    field's ``n`` values per axis map to ``2n`` coefficients, each kernel
+    multiplies them by its real table ``kappa`` and the inverse products
+    return the ``n^3`` corner.  With ``workers > 1`` the spatial nodes are
+    split over a thread pool; every node runs the same products either way,
+    so the output does not depend on ``workers``.
     """
     n = tables.velocity_grid.n_v
-    w = tables.velocity_grid.node_weight
     g = np.asarray(g, dtype=float)
-    ghat = sfft.rfft(g, n=2 * n, axis=-1, workers=workers)
-    ghat = sfft.fft(ghat, n=2 * n, axis=-2, workers=workers)
-    ghat = sfft.fft(ghat, n=2 * n, axis=-3, workers=workers)
-    out = np.empty((len(tables.kernel_hat),) + g.shape)
-    for kh, conv in zip(tables.kernel_hat, out):
-        p = sfft.ifft(ghat * kh, axis=-3, overwrite_x=True,
-                      workers=workers)[..., :n, :, :]
-        p = sfft.ifft(p, axis=-2, overwrite_x=True, workers=workers)[..., :n, :]
-        p = sfft.irfft(p, n=2 * n, axis=-1, workers=workers)[..., :n]
-        np.multiply(p, w, out=conv)
+    nodes = g.reshape((-1,) + (n,) * 3)
+    out = np.empty((len(tables.kappa), len(nodes)) + (n,) * 3)
+    parts = np.array_split(np.arange(len(nodes)),
+                           max(1, min(workers or 1, len(nodes))))
+    # the scratch is allocated here: memory a worker thread allocates stays
+    # with its allocator arena after the thread exits
+    jobs = [partial(_convolve_nodes, tables, nodes, out, part, _scratch(n))
+            for part in parts]
+    if len(jobs) == 1:
+        jobs[0]()
+    else:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            for done in [pool.submit(job) for job in jobs]:
+                done.result()
+    out = out.reshape((len(tables.kappa),) + g.shape)
     return list(out[:6]), list(out[6:])
 
 
@@ -388,10 +526,12 @@ def mu_derivatives(tables):
 
 
 def q_landau_fft(g, f, tables, workers=None):
-    """Q(g, f) on the tables' velocity grid via zero-padded FFT convolution.
+    """Q(g, f) on the tables' velocity grid via the doubled-box convolution.
 
     ``g`` and ``f`` are velocity fields (possibly with leading spatial axes,
-    evaluated slice-wise).
+    evaluated slice-wise).  The convolutions are the real cos/sin-basis
+    products of :func:`convolve_tables`: the zero-padded FFT convolution,
+    computed in real arithmetic.
     """
     g = np.asarray(g, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -536,12 +676,12 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
     phi_s, der_s = convolve_tables(tables, s, workers)
     dmu = mu_derivatives(tables)
     flux_s_mu = [_flux(tables, phi_s, der_s, mu, dmu, i) for i in range(3)]
-    # convolutions of the first argument of Q(., f_pm): 2 mu + s, or 2 mu
+    # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
+    # built in place on the fresh s convolutions (the same bits)
     phi_m, der_m = mu_convolutions(tables)
-    phi_tot = [(2.0 * m if linearized else 2.0 * m + c)[None]
-               for m, c in zip(phi_m, phi_s)]
-    der_tot = [(2.0 * m if linearized else 2.0 * m + c)[None]
-               for m, c in zip(der_m, der_s)]
+    tot = [(2.0 * m if linearized else np.add(c, 2.0 * m, out=c))[None]
+           for m, c in zip(phi_m + der_m, phi_s + der_s)]
+    phi_tot, der_tot = tot[:6], tot[6:]
 
     def rhs(f_plus, f_minus):
         rp, rm = q_from_convolutions(tables, phi_tot, der_tot,

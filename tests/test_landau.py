@@ -1,7 +1,8 @@
-"""Landau collision operator: kernels, FFT path, direct oracle, correction."""
+"""Landau collision operator: kernels, fast path, direct oracle, correction."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -113,12 +114,46 @@ class TestKernelTables:
 
     def test_kernel_data_read_only_and_caches_declared(self):
         tables = build_kernel_tables(0.0, VelocityGrid(8, 6.0), measure=False)
-        assert tables.kernel_hat.shape == (9, 16, 16, 9)
-        assert not tables.kernel_hat.flags.writeable
+        assert tables.kappa.shape == (9, 16, 16, 16)
+        assert tables.kappa.dtype == np.float64
+        assert not tables.kappa.flags.writeable
         with pytest.raises(ValueError):
-            tables.kernel_hat[0, 0, 0, 0] = 1.0
+            tables.kappa[0, 0, 0, 0] = 1.0
         declared = {f.name for f in dataclasses.fields(LandauKernelTables)}
         assert {"_mu_conv", "_mu_derivs", "_rho_estimate"} <= declared
+
+    @pytest.mark.parametrize("node", [(2, 1, 0), (0, 1, 2)])
+    @pytest.mark.parametrize("gamma", [-3.0, -1.0, 0.0, 1.0])
+    def test_broken_parity_raises(self, monkeypatch, gamma, node):
+        # one sample of phi^12 moved off its mirror image along axis 1, or
+        # off zero on the plane u_1 = 0 where oddness pins it
+        components = landau._kernel_components
+
+        def skewed(*args):
+            phis, derivs = components(*args)
+            phis[3] = phis[3].copy()
+            phis[3][node] += 1e-3
+            return phis, derivs
+
+        build_kernel_tables(gamma, VelocityGrid(8, 6.0), measure=False)
+        monkeypatch.setattr(landau, "_kernel_components", skewed)
+        with pytest.raises(ParameterError,
+                           match=rf"phi\^12 at gamma={gamma:g}, n_v=8, L=6 "
+                                 r"is not odd along velocity axis 1"):
+            build_kernel_tables(gamma, VelocityGrid(8, 6.0), measure=False)
+
+    @pytest.mark.parametrize("gamma", [-3.0, -1.0, 0.0, 1.0])
+    def test_imaginary_transform_raises(self, monkeypatch, gamma):
+        # a transform left with an imaginary part 1e-9 of its largest value
+        def leaky(a):
+            hat = np.fft.rfftn(a)
+            return hat + 1e-9j * np.max(np.abs(hat))
+
+        monkeypatch.setattr(landau, "rfftn", leaky)
+        with pytest.raises(ParameterError,
+                           match=rf"phi\^11 at gamma={gamma:g}, n_v=8, L=6: "
+                                 r"transform keeps an imaginary part"):
+            build_kernel_tables(gamma, VelocityGrid(8, 6.0), measure=False)
 
 
 def halfline_moment(a, sigma):
@@ -217,7 +252,7 @@ def padded_reference(tables, g):
 
 
 class TestConvolution:
-    @pytest.mark.parametrize("gamma", [-3.0, 0.0])
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
     @pytest.mark.parametrize("leading", [(), (2, 3)])
     def test_matches_padded_reference(self, rng, gamma, leading):
         ve = VelocityGrid(8, 6.0)
@@ -236,6 +271,22 @@ class TestConvolution:
         one = convolve_tables(tables, g, workers=1)
         two = convolve_tables(tables, g, workers=2)
         for a, b in zip(one[0] + one[1], two[0] + two[1]):
+            assert np.array_equal(a, b)
+
+    def test_more_threads_than_cores_bit_identical(self, rng):
+        # six threads (one per node) on a short switch interval write
+        # disjoint nodes of one output array
+        ve = VelocityGrid(8, 6.0)
+        tables = build_kernel_tables(-1.0, ve, measure=False)
+        g = rng.standard_normal((2, 3) + ve.shape)
+        one = convolve_tables(tables, g, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = convolve_tables(tables, g, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(one[0] + one[1], many[0] + many[1]):
             assert np.array_equal(a, b)
 
     def test_peak_memory_a_few_padded_products(self, rng):

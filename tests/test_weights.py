@@ -480,6 +480,10 @@ ve = VelocityGrid(32, 8.0)
 f = np.random.default_rng(3).standard_normal((2, 8) + ve.shape)
 for a in range(3):
     h.update(v_derivative_trailing(ve, f, a).tobytes())
+phi_conv, deriv_conv = landau.convolve_tables(
+    landau.build_kernel_tables(-3.0, ve, measure=False), f[0])
+for c in phi_conv + deriv_conv:
+    h.update(c.tobytes())
 grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
 tables = landau.build_kernel_tables(-3.0, grid.velocity, measure=False)
 state = advance(make_initial_condition(grid, amplitude=1e-3, seed=7), 0.02,
@@ -492,8 +496,9 @@ print(h.hexdigest())
 
 
 def test_outputs_byte_identical_across_blas_threads():
-    # the derivatives are BLAS matrix products; their threads split the
-    # output, never a sum, so every thread count gives the same bytes
+    # the derivatives and convolutions are BLAS matrix products; their
+    # threads split the output, never a sum, so every thread count gives
+    # the same bytes
     src = str(Path(vplandau.__file__).resolve().parent.parent)
     digests = []
     for threads in ("1", "2"):
