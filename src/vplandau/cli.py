@@ -9,7 +9,8 @@ Subcommands:
 * ``fit <csv>``             -- offline re-fit of an existing series CSV
 
 ``--set section.key=value`` overrides config keys; the environment variable
-``VPLANDAU_THREADS`` controls the FFT worker count.  The exit status is 0
+``VPLANDAU_THREADS`` sets the number of threads over which the collision
+convolutions split the spatial nodes.  The exit status is 0
 when the mode's built-in assertions pass, 1 when they fail, and 2 on
 configuration or runtime errors (with a structured JSON report on stderr).
 """

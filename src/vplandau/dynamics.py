@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.polynomial import chebyshev as cheb
 
 from . import landau
@@ -42,7 +41,7 @@ class TimeStepConfig:
     picard_max_iters: int = 25
     conservative_correction: bool = True
     linearized: bool = False
-    workers: int | None = None
+    workers: int | None = None  # threads of landau.convolve_tables
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -74,16 +73,29 @@ def _check_finite(substep, time, fields):
 
 
 def transport_phase(grid, dt):
-    """The exact free-streaming multiplier exp(-i xi . v dt)."""
-    dot = np.zeros(grid.shape)
-    nd = grid.dim_x + 3
-    for a in range(grid.dim_x):
-        xi = along(grid.spatial.axis_wavenumbers(), a, nd)
-        dot = dot + xi * along(grid.velocity.axis_nodes(), grid.dim_x + a, nd)
-    return np.exp(-1j * dt * dot)
+    """The free-streaming multiplier exp(-i xi . v dt) on the ``rfftn`` modes.
+
+    The real transform keeps ``n_x // 2 + 1`` modes of the last x axis, and
+    the multiplier there is the Hermitian part ``(P[k] + conj(P[-k]))/2`` of
+    the full ``P``.  It equals ``P`` off the Nyquist planes; on them it
+    averages the two signs of the Nyquist wavenumber.  The substep is then
+    ``Re ifftn(P fftn f)`` at every ``dim_x``; with the plain half of ``P``
+    it is not, once ``dim_x > 1``.
+    """
+    d = grid.dim_x
+    nd = d + 3
+    xi = grid.spatial.axis_wavenumbers()
+    v = grid.velocity.axis_nodes()
+    half = xi.size // 2 + 1
+    phase = 0.0
+    for ks in (xi, -np.roll(xi[::-1], 1)):  # xi[k] and -xi[-k]
+        dot = sum(along(ks[:half] if a == d - 1 else ks, a, nd)
+                  * along(v, d + a, nd) for a in range(d))
+        phase = phase + 0.5 * np.exp(-1j * dt * dot)
+    return phase
 
 
-def transport_step(state, dt, phase=None, workers=None):
+def transport_step(state, dt, phase=None):
     """Exact free streaming: f(x, v) -> f(x - v dt, v) on the grid."""
     g = state.grid
     if phase is None:
@@ -91,11 +103,10 @@ def transport_step(state, dt, phase=None, workers=None):
     axes = g.x_axes
     out = []
     for f in (state.f_plus, state.f_minus):
-        hat = sfft.fftn(f, axes=axes, norm="forward", workers=workers)
+        hat = np.fft.rfftn(f, axes=axes, norm="forward")
         hat *= phase
-        # a copy: the ``.real`` view would keep the complex array alive
-        out.append(sfft.ifftn(hat, axes=axes, norm="forward",
-                              overwrite_x=True, workers=workers).real.copy())
+        out.append(np.fft.irfftn(hat, s=f.shape[:g.dim_x], axes=axes,
+                                 norm="forward"))
     _check_finite("transport", state.time, out)
     return state.with_fields(out[0], out[1], time=state.time + dt)
 
@@ -122,7 +133,7 @@ def _field_source(grid, grad_phi):
     return src
 
 
-def field_step(state, dt, grad_phi=None, workers=None):
+def field_step(state, dt, grad_phi=None):
     """Exact frozen-potential Vlasov substep in the velocity Fourier modes.
 
     With ``theta = dt grad(phi) . k_v`` over the first ``dim_x`` velocity
@@ -146,17 +157,15 @@ def field_step(state, dt, grad_phi=None, workers=None):
                      for a, (gp, ka) in enumerate(zip(grad_phi, ks)))
     rot = np.exp(1j * theta)
     duhamel = dt * np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))
-    src = sfft.rfftn(_field_source(g, grad_phi), axes=axes, norm="forward",
-                     workers=workers)
+    src = np.fft.rfftn(_field_source(g, grad_phi), axes=axes, norm="forward")
     out = []
     for f, r, w in ((state.f_plus, rot, -duhamel),
                     (state.f_minus, rot.conj(), duhamel.conj())):
-        hat = sfft.rfftn(f, axes=axes, norm="forward", workers=workers)
+        hat = np.fft.rfftn(f, axes=axes, norm="forward")
         hat *= r
         hat += w * src
-        out.append(sfft.irfftn(hat, s=f.shape[d:2 * d], axes=axes,
-                               norm="forward", overwrite_x=True,
-                               workers=workers))
+        out.append(np.fft.irfftn(hat, s=f.shape[d:2 * d], axes=axes,
+                                 norm="forward"))
     _check_finite("field", state.time, out)
     return state.with_fields(out[0], out[1])
 
@@ -386,11 +395,7 @@ def advance(state, t_final, cfg, tables=None, sink=None):
     if tables is None:
         raise ValueError("advance needs kernel tables for the collision "
                          "substep (landau.build_kernel_tables)")
-    if cfg.linearized:
-        field = _linearized_field_step
-    else:
-        def field(s, dt):
-            return field_step(s, dt, workers=cfg.workers)
+    field = _linearized_field_step if cfg.linearized else field_step
     corrector = landau.ConservativeCorrector(state.grid.velocity)
     t0 = state.time
     n_whole, rem = step_schedule(t0, t_final, cfg.dt)
@@ -398,12 +403,12 @@ def advance(state, t_final, cfg, tables=None, sink=None):
     if rem > 0.0:
         steps.append((rem, transport_phase(state.grid, 0.5 * rem)))
     for step, (dt, phase) in enumerate(steps, start=1):
-        state = transport_step(state, 0.5 * dt, phase, cfg.workers)
+        state = transport_step(state, 0.5 * dt, phase)
         state = field(state, 0.5 * dt)
         state, iters, ratios = collision_step(state, dt, cfg, tables,
                                               corrector)
         state = field(state, 0.5 * dt)
-        state = transport_step(state, 0.5 * dt, phase, cfg.workers)
+        state = transport_step(state, 0.5 * dt, phase)
         state.time = t_final if step == len(steps) else t0 + step * cfg.dt
         if sink is not None:
             sink(state, StepInfo(step=step, dt=dt, picard_iterations=iters,

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import GridMismatchError, UnsupportedOrderError
 
@@ -85,7 +84,7 @@ class SpatialGrid:
 
     def axis_wavenumbers(self):
         """1-D wavenumber array in FFT layout (rad per unit length)."""
-        return _TWO_PI / self.length * sfft.fftfreq(self.n_x, 1.0 / self.n_x)
+        return _TWO_PI / self.length * np.fft.fftfreq(self.n_x, 1.0 / self.n_x)
 
     def coordinate(self, axis):
         """Node coordinates of spatial axis ``axis`` broadcast to x-shape."""
@@ -122,7 +121,7 @@ class VelocityGrid:
 
     def axis_wavenumbers(self):
         period = 2.0 * self.cutoff_L
-        return _TWO_PI / period * sfft.fftfreq(self.n_v, 1.0 / self.n_v)
+        return _TWO_PI / period * np.fft.fftfreq(self.n_v, 1.0 / self.n_v)
 
     def coordinate(self, axis):
         """Node coordinates of velocity axis ``axis`` as a (n_v,n_v,n_v) view."""
@@ -214,12 +213,12 @@ def _axes_tuple(grid, axes):
 def forward_transform(grid, values, axes="xv"):
     """Forward DFT (norm='forward') over the requested axes of a phase field."""
     grid.check_shape(values, "xv")
-    return sfft.fftn(values, axes=_axes_tuple(grid, axes), norm="forward")
+    return np.fft.fftn(values, axes=_axes_tuple(grid, axes), norm="forward")
 
 
 def inverse_transform(grid, coeffs, axes="xv", real=True):
     """Inverse of :func:`forward_transform`; returns the real part by default."""
-    out = sfft.ifftn(coeffs, axes=_axes_tuple(grid, axes), norm="forward")
+    out = np.fft.ifftn(coeffs, axes=_axes_tuple(grid, axes), norm="forward")
     return out.real if real else out
 
 
@@ -265,9 +264,9 @@ def derivative_matrix(axis_grid, order):
     """
     mult = derivative_multiplier(axis_grid, order)
     n = mult.size
-    hat = sfft.rfft(np.eye(n), axis=0, norm="forward")
+    hat = np.fft.rfft(np.eye(n), axis=0, norm="forward")
     hat *= mult[: n // 2 + 1, None]
-    mat = sfft.irfft(hat, n=n, axis=0, norm="forward")
+    mat = np.fft.irfft(hat, n=n, axis=0, norm="forward")
     mat.setflags(write=False)
     return mat
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import UnsupportedOrderError
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid, l2_norm
@@ -40,7 +39,7 @@ def random_bandlimited_v(rng, velocity_grid, kmax=3, n_modes=30):
         m = rng.integers(-kmax, kmax + 1, size=3)
         c[m[0] % n, m[1] % n, m[2] % n] += (rng.standard_normal()
                                             + 1j * rng.standard_normal())
-    f = sfft.ifftn(c).real
+    f = np.fft.ifftn(c).real
     peak = np.max(np.abs(f))
     return f / (peak if peak > 0 else 1.0)
 

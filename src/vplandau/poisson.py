@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import along, derivative_multiplier, wavenumber_squared
 
@@ -37,7 +36,7 @@ def solve_potential(spatial, rho):
     rho = np.asarray(rho, dtype=float)
     if rho.shape != spatial.shape:
         raise ValueError(f"rho shape {rho.shape} != spatial shape {spatial.shape}")
-    rho_hat = sfft.fftn(rho, norm="forward")
+    rho_hat = np.fft.fftn(rho, norm="forward")
     mean = float(rho_hat[(0,) * spatial.dim_x].real)
     rho_scale = math.sqrt(float(np.sum(rho**2)) * spatial.cell_volume)
     # absolute floor keeps roundoff-level means of near-zero densities quiet
@@ -52,7 +51,7 @@ def solve_potential(spatial, rho):
     k2 = np.where(k2 == 0.0, 1.0, k2)
     phi_hat = rho_hat / k2
     phi_hat[(0,) * spatial.dim_x] = 0.0
-    phi = sfft.ifftn(phi_hat, norm="forward").real
+    phi = np.fft.ifftn(phi_hat, norm="forward").real
     e_field = [-g for g in _gradient(spatial, phi_hat)]
     return PoissonResult(phi=phi, e_field=tuple(e_field), mean_charge=mean,
                          mean_projected=flagged)
@@ -61,14 +60,14 @@ def solve_potential(spatial, rho):
 def _gradient(spatial, phi_hat):
     """Spectral gradient, one array per axis, from the coefficients of phi."""
     m1 = derivative_multiplier(spatial, 1)
-    return [sfft.ifftn(along(m1, axis, spatial.dim_x) * phi_hat,
-                       norm="forward").real
+    return [np.fft.ifftn(along(m1, axis, spatial.dim_x) * phi_hat,
+                         norm="forward").real
             for axis in range(spatial.dim_x)]
 
 
 def grad(spatial, phi):
     """Spectral gradient of a spatial field, one array per axis."""
-    phi_hat = sfft.fftn(np.asarray(phi, dtype=float), norm="forward")
+    phi_hat = np.fft.fftn(np.asarray(phi, dtype=float), norm="forward")
     return _gradient(spatial, phi_hat)
 
 
@@ -81,8 +80,9 @@ def field_energy(spatial, phi):
 
 def residual(spatial, phi, rho):
     """L2 norm of ``-laplace(phi) - (rho - mean rho)`` (spectral Laplacian)."""
-    phi_hat = sfft.fftn(np.asarray(phi, dtype=float), norm="forward")
-    lap = sfft.ifftn(-wavenumber_squared(spatial) * phi_hat, norm="forward").real
+    phi_hat = np.fft.fftn(np.asarray(phi, dtype=float), norm="forward")
+    lap = np.fft.ifftn(-wavenumber_squared(spatial) * phi_hat,
+                       norm="forward").real
     rho0 = rho - float(np.mean(rho))
     r = -lap - rho0
     return math.sqrt(float(np.sum(r**2)) * spatial.cell_volume)

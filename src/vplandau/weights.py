@@ -28,7 +28,6 @@ from itertools import product
 from types import MappingProxyType
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ParameterError
 from .grid import (
@@ -420,7 +419,7 @@ def h3_grad_norm_sq(spatial, phi):
     k2 = wavenumber_squared(spatial)
     mult = 1.0 + k2 + k2**2 + k2**3
     for comp in g:
-        hat = sfft.fftn(comp, norm="forward")
+        hat = np.fft.fftn(comp, norm="forward")
         total += float(np.sum(mult * np.abs(hat) ** 2)) * spatial.volume
     return total
 

@@ -19,7 +19,8 @@ from vplandau.dynamics import (
     transport_step,
 )
 from vplandau.errors import PicardConvergenceError
-from vplandau.grid import PhaseGrid, SpatialGrid, VelocityGrid, integrate_v, integrate_x, l2_norm
+from vplandau.grid import (PhaseGrid, SpatialGrid, VelocityGrid, along,
+                           integrate_v, integrate_x, l2_norm)
 from vplandau.initial import make_initial_condition
 from vplandau.state import SystemState, check_conservation, maxwellian
 
@@ -76,6 +77,25 @@ class TestTransport:
         m0 = integrate_x(small_grid, integrate_v(small_grid, st.f_plus))
         m1 = integrate_x(small_grid, integrate_v(small_grid, out.f_plus))
         assert abs(m1 - m0) <= 1e-15
+
+    @pytest.mark.parametrize("dim_x", [1, 2, 3])
+    def test_matches_complex_shift(self, rng, dim_x):
+        # random data fills every mode, the Nyquist planes included; the
+        # real transform must reproduce Re ifftn(P fftn f) of the full phase
+        grid = PhaseGrid(SpatialGrid(dim_x, 4), VelocityGrid(8, 4.0))
+        f = rng.standard_normal(grid.shape)
+        dt = 0.37
+        nd = dim_x + 3
+        xi = grid.spatial.axis_wavenumbers()
+        v = grid.velocity.axis_nodes()
+        dot = sum(along(xi, a, nd) * along(v, dim_x + a, nd)
+                  for a in range(dim_x))
+        axes = grid.x_axes
+        ref = np.fft.ifftn(np.exp(-1j * dt * dot) * np.fft.fftn(f, axes=axes),
+                           axes=axes).real
+        out = transport_step(SystemState(grid, f, f.copy()), dt)
+        assert np.max(np.abs(out.f_plus - ref)) <= 1e-14
+        assert np.max(np.abs(out.f_minus - ref)) <= 1e-14
 
 
 class TestFieldStep:
@@ -243,32 +263,34 @@ class TestCollisionStep:
 
 
 class TestWorkers:
-    """Transforms split their lines across workers; results must not move."""
+    """The collision convolutions split the spatial nodes across workers;
+    results must not move."""
 
     @pytest.fixture
     def state(self):
         grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(16, 8.0))
         return make_initial_condition(grid, amplitude=1e-3, seed=5)
 
+    # at dt = 0.3 the Picard step takes the Chebyshev (RKC) integrator
+    SCHEMES = pytest.mark.parametrize("scheme, dt", [("strang_rk4", 1e-2),
+                                                     ("picard_implicit", 0.3)])
+
     @staticmethod
     def assert_identical(one, two):
         assert np.array_equal(one.f_plus, two.f_plus)
         assert np.array_equal(one.f_minus, two.f_minus)
 
-    def test_transport(self, state):
-        self.assert_identical(transport_step(state, 0.05, workers=1),
-                              transport_step(state, 0.05, workers=2))
+    @SCHEMES
+    def test_advance(self, scheme, dt):
+        grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(8, 4.0))
+        st = make_initial_condition(grid, amplitude=1e-3, seed=6)
+        tables = landau.build_kernel_tables(-3.0, grid.velocity,
+                                            measure=False)
+        one, two = (advance(st.clone(), 2 * dt, TimeStepConfig(
+            dt=dt, scheme=scheme, workers=w), tables) for w in (1, 2))
+        self.assert_identical(one, two)
 
-    def test_field(self):
-        for dim_x in (1, 2):
-            st, grad_phi = field_case(dim_x)
-            self.assert_identical(
-                field_step(st, 0.05, grad_phi=grad_phi, workers=1),
-                field_step(st, 0.05, grad_phi=grad_phi, workers=2))
-
-    # at dt = 0.3 the Picard step takes the Chebyshev (RKC) integrator
-    @pytest.mark.parametrize("scheme, dt", [("strang_rk4", 1e-2),
-                                            ("picard_implicit", 0.3)])
+    @SCHEMES
     def test_collision(self, state, scheme, dt):
         tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
                                             measure=False)

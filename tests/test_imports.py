@@ -1,6 +1,9 @@
-"""Every module-level import in ``src/vplandau`` is used by its module."""
+"""Every module-level import in ``src/vplandau`` is used by its module,
+and none of them reaches scipy: numpy.fft is the one transform library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,33 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    """Top-level package names of every import anywhere in the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_a_nested_scipy_import():
+    source = "def f():\n    from scipy.fft import fftn\n    return fftn\n"
+    assert "scipy" in imported_modules(source)
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(vplandau.__file__)],
+                         ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, vplandau\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -294,14 +294,17 @@ class TestConvolution:
         tables = build_kernel_tables(-3.0, ve, measure=False)
         g = rng.standard_normal((4,) + ve.shape)
         convolve_tables(tables, g)  # warm up
-        product_bytes = 4 * 32 * 32 * 17 * np.dtype(complex).itemsize
+        # the nine outputs and one node's scratch (its two padded (2n)^3
+        # buffers and two smaller ones), whatever the number of nodes
+        out_bytes = 9 * g.nbytes
+        scratch_bytes = sum(a.nbytes for a in landau._scratch(ve.n_v))
         tracemalloc.start()
         try:
             convolve_tables(tables, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * product_bytes
+        assert peak <= 1.25 * (out_bytes + scratch_bytes)
 
 
 class TestDerivativeMemory:
