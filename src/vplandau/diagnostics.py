@@ -191,9 +191,6 @@ class Recorder:
     def series(self, name):
         return np.array([getattr(r, name) for r in self.records])
 
-    def conservation_report(self, state):
-        return check_conservation(state, self.reference)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics, dynamics, initial, landau, verify
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid
-from .state import maxwellian, save_checkpoint
+from .state import check_conservation, maxwellian, save_checkpoint
 
 SCHEMA_VERSION = 1
 
@@ -133,7 +133,7 @@ def nonlinear_run(cfg):
                 cfg.directory, f"checkpoint_{info.step:06d}.npz"), s)
 
     final = dynamics.advance(state, cfg.t_final, tcfg, tables, sink=sink)
-    report = recorder.conservation_report(final)
+    report = check_conservation(final, recorder.reference)
     recorder.to_csv(os.path.join(cfg.directory, cfg.csv))
 
     times = recorder.times()

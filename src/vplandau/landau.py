@@ -7,19 +7,22 @@ argument through the kernel identity ``d_j phi^{ij}(u) = -2 |u|^gamma u_i``:
 
 where ``*`` is velocity convolution, ``phi^{ij}(u) = |u|^{gamma+2}
 (delta_ij - u_i u_j / |u|^2)`` and all derivatives are spectral on the
-velocity box.  Both evaluation paths share the sampled kernel tables and the
+velocity box.  Both evaluation paths share the kernel samples and the
 origin regularization; they differ in how the convolution sums are computed:
 
 * fast path: real matrix products in a cos/sin basis of the doubled box (no
   wrap-around aliasing; see :func:`convolve_tables`),
-* oracle: dense O(N^2) summation over node pairs (no transforms at all).
+* oracle: dense O(N^2) summation over node pairs on the full centred
+  difference lattice (no transforms at all).
 
-Kernels are sampled on the difference lattice covering ``[-2L, 2L)``; for
+Kernels are sampled at the lattice offsets between velocity nodes; for
 ``gamma < 0`` the weights near the singular origin are calibrated so the
 lattice sums reproduce closed-form Gaussian moments (:func:`_calibration`).
 The odd derivative kernels vanish at the origin by symmetry.  Every kernel is
-even or odd along each velocity axis (``_PARITY``), which makes its
-doubled-box transform real up to a fixed power of ``i``.
+even or odd along each velocity axis (``_PARITY``), so the octant of
+non-negative offsets fixes it and its table in the cos/sin basis is real:
+:func:`build_kernel_tables` samples that octant only.  The oracle samples
+the whole lattice, so its agreement with the fast path checks the parity.
 
 The collision right-hand side of the perturbation system,
 ``Q(S, mu) + Q(2 mu + S, f_pm)`` with ``S = f+ + f-``, is assembled only in
@@ -30,42 +33,26 @@ collision substeps of :mod:`vplandau.dynamics` all go through it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.fft import rfftn
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
 from .grid import v_derivative_trailing
 from .state import invariant_moments, invariants, maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# Table order: phi^{ij} over _SYM_PAIRS, then D_i = -2 |u|^gamma u_i.
-_KERNEL_NAMES = tuple(f"phi^{i + 1}{j + 1}" for i, j in _SYM_PAIRS) + tuple(
-    f"D_{i + 1}" for i in range(3))
+# Table index of phi^{ij} for every ordered pair (i, j).
+_PAIR_INDEX = {(i, j): _SYM_PAIRS.index((min(i, j), max(i, j)))
+               for i in range(3) for j in range(3)}
 # Parity of each kernel along the velocity axes (1: odd): phi^{ii} is even,
 # phi^{ij} odd along i and j, D_i odd along i.
 _PARITY = tuple(tuple(int(i != j and a in (i, j)) for a in range(3))
                 for i, j in _SYM_PAIRS) + tuple(
     tuple(int(a == i) for a in range(3)) for i in range(3))
-
-
-def _difference_lattice(velocity_grid):
-    """Offsets of the padded (size 2 n_v) circular difference lattice.
-
-    Index ``m`` holds the physical offset ``((m + n) mod 2n - n) * h``, i.e.
-    the lattice covers ``[-2L, 2L)`` in FFT-wrapped order, so a circular
-    convolution of zero-padded fields against it is the exact linear
-    convolution on the original box.
-    """
-    n = velocity_grid.n_v
-    h = velocity_grid.spacing
-    m = np.arange(2 * n)
-    return (((m + n) % (2 * n)) - n) * h
 
 
 def _centred_lattice(velocity_grid):
@@ -274,13 +261,14 @@ class LandauKernelTables:
     """Real doubled-box tables of the truncated collision kernels for one grid.
 
     ``kappa[k]`` is ``i^{|p|}`` times the doubled-box transform of kernel
-    ``k`` (``p`` its parity per axis, ``_PARITY``), real and read-only, shape
+    ``k`` (``p`` its parity per axis, ``_PARITY``), computed in real
+    arithmetic from the kernel's octant (:func:`build_kernel_tables`), shape
     ``(9, 2 n_v, 2 n_v, 2 n_v)``: phi^{ij} in the order (11, 22, 33, 12, 13,
     23), then d_j phi^{ij} = -2 |u|^gamma u_i.  Along each axis, index ``0..n``
     holds frequency ``q = 0..n`` (the cos part of the basis) and index
-    ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  Kernel data are
-    immutable after construction and shareable across threads; the
-    underscored fields are lazy caches.
+    ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  ``kappa`` is
+    read-only: kernel data are immutable after construction and shareable
+    across threads; the underscored fields are lazy caches.
     """
 
     gamma: float
@@ -291,16 +279,13 @@ class LandauKernelTables:
     _mu_derivs: list | None = field(default=None, repr=False)
     _rho_estimate: float | None = field(default=None, repr=False)
 
-    def pair_index(self, i, j):
-        key = (min(i, j), max(i, j))
-        return _SYM_PAIRS.index(key)
-
     def sampled_kernels(self):
         """Real-space kernel samples on the centered difference lattice.
 
         Returns (offsets, phis, derivs) where offsets is the 1-D array of
         ``2 n_v - 1`` physical offsets and the kernel arrays have shape
-        ``(2 n_v - 1,)*3``.  Used by the direct oracle.
+        ``(2 n_v - 1,)*3``.  These are the samples the direct oracle sums
+        against; the tables come from their octant of non-negative offsets.
         """
         off = _centred_lattice(self.velocity_grid)
         phis, derivs = _kernel_components(self.gamma, off, self.velocity_grid)
@@ -317,58 +302,28 @@ class LandauKernelTables:
         return self.epsilon_op
 
 
-def _real_table(kernel, parity, out, label):
-    """Write into ``out`` the cos/sin-basis table of one sampled kernel.
-
-    The ``+-2L`` planes (index ``n``) are zeroed in place first: an offset of
-    two box lengths never reaches the kept ``n^3`` corner, so no output
-    changes, and without them the kernel is exactly even or odd along each
-    axis.  Then ``i^{|p|}`` times its transform is real; its frequencies
-    ``0..n`` and ``1..n-1`` per axis are copied into ``out`` by slices.
-    A kernel that breaks its parity, or a transform that keeps an imaginary
-    part above 1e-12 of its largest value, raises.
-    """
-    n = kernel.shape[0] // 2
-    for axis in range(3):
-        kernel[(slice(None),) * axis + (n,)] = 0.0
-    for axis, odd in enumerate(parity):
-        # offsets +-m h sit at indices m and 2n - m; m = 0 mirrors itself
-        ahead = (slice(None),) * axis
-        pos = kernel[ahead + (slice(1, n),)]
-        neg = kernel[ahead + (slice(2 * n - 1, n, -1),)]
-        if (not np.array_equal(pos, -neg if odd else neg)
-                or odd and kernel[ahead + (0,)].any()):
-            raise ParameterError(
-                f"kernel {label} is not {'odd' if odd else 'even'} along "
-                f"velocity axis {axis + 1}")
-    hat = rfftn(kernel) * 1j ** sum(parity)
-    imag = float(np.max(np.abs(hat.imag)))
-    if imag > 1e-12 * float(np.max(np.abs(hat.real))):
-        raise ParameterError(
-            f"kernel {label}: transform keeps an imaginary part of "
-            f"{imag:.3g}")
-    lo, hi = (slice(0, n + 1),) * 2, (slice(n + 1, 2 * n), slice(1, n))
-    for (o1, s1), (o2, s2), (o3, s3) in itertools.product((lo, hi), repeat=3):
-        out[o1, o2, o3] = hat.real[s1, s2, s3]
-
-
 def build_kernel_tables(gamma, velocity_grid, measure=True):
     """Real doubled-box kernel tables for ``gamma`` on ``velocity_grid``.
 
-    Each kernel is sampled on the ``2 n_v`` difference lattice, checked
-    against its recorded parity and transformed one at a time
-    (:func:`_real_table`); ``measure`` also sets ``epsilon_op``.
+    Each kernel is sampled on the octant of offsets ``m h``, m < n_v, which
+    fixes the whole doubled-box lattice by its parity (the ``+-2L`` planes
+    never reach the kept ``n^3`` corner and count as zero).  Its table is
+    three products with the table matrices of :func:`_basis`, applied along
+    the axes as :func:`_convolve_nodes` applies ``forward``; ``measure``
+    also sets ``epsilon_op``.
     """
     if not (-3.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [-3, 1], got {gamma}")
     n = velocity_grid.n_v
-    where = f"gamma={gamma:g}, n_v={n}, L={velocity_grid.cutoff_L:g}"
-    phis, derivs = _kernel_components(gamma, _difference_lattice(velocity_grid),
-                                      velocity_grid)
-    kappa = np.empty((len(_PARITY),) + (2 * n,) * 3)
-    for kernel, parity, name, out in zip(phis + derivs, _PARITY,
-                                         _KERNEL_NAMES, kappa):
-        _real_table(kernel, parity, out, f"{name} at {where}")
+    phis, derivs = _kernel_components(
+        gamma, np.arange(n) * velocity_grid.spacing, velocity_grid)
+    table = _basis(velocity_grid)[4]
+    kappa = np.empty((len(_PARITY), 2 * n, 4 * n * n))
+    for kernel, (p1, p2, p3), out in zip(phis + derivs, _PARITY, kappa):
+        narrow = kernel.reshape(n * n, n) @ table[p3].T
+        wide = table[p2] @ narrow.reshape(n, n, 2 * n)
+        np.matmul(table[p1], wide.reshape(n, 4 * n * n), out=out)
+    kappa = kappa.reshape((len(_PARITY),) + (2 * n,) * 3)
     kappa.flags.writeable = False
     tables = LandauKernelTables(gamma=gamma, velocity_grid=velocity_grid,
                                 kappa=kappa)
@@ -384,13 +339,18 @@ def build_kernel_tables(gamma, velocity_grid, measure=True):
 def _basis(velocity_grid):
     """Matrices of the cos/sin basis of the doubled box, read-only.
 
-    Returns ``(forward_t, forward, inverse, last_t)``.  ``forward`` (2n x n)
-    has rows ``cos(pi q m / n)``, q = 0..n, then ``sin(pi q m / n)``,
-    q = 1..n-1; ``forward_t`` is its transpose.  ``inverse[p]`` (n x 2n)
-    maps back along an axis of parity ``p``: ``[C | S]`` when even,
-    ``[S' | -C']`` when odd, with entries ``cos`` or ``sin(pi q m / n)``
-    weighted ``w_q / 2n`` (``w_0 = w_n = 1``, else 2).  ``last_t[p]`` is
-    ``inverse[p]`` transposed with the quadrature weight folded in.
+    Returns ``(forward_t, forward, inverse, last_t, table)``.  ``forward``
+    (2n x n) has rows ``cos(pi q m / n)``, q = 0..n, then
+    ``sin(pi q m / n)``, q = 1..n-1; ``forward_t`` is its transpose.
+    ``inverse[p]`` (n x 2n) maps back along an axis of parity ``p``:
+    ``[C | S]`` when even, ``[S' | -C']`` when odd, with entries ``cos`` or
+    ``sin(pi q m / n)`` weighted ``w_q / 2n`` (``w_0 = w_n = 1``, else 2).
+    ``last_t[p]`` is ``inverse[p]`` transposed with the quadrature weight
+    folded in.  ``table[p]`` (2n x n, rows q = 0..n, 1..n-1) maps a kernel's
+    samples at offsets ``m h``, m < n, to its table along an axis of parity
+    ``p``: ``w_m cos(pi q m / n)`` (``w_0 = 1``, else 2) when even,
+    ``2 sin(pi q m / n)`` when odd -- ``i^p`` times the doubled-box transform
+    of a kernel mirrored about the origin.
     """
     n = velocity_grid.n_v
     q = np.r_[0:n + 1, 1:n]
@@ -400,6 +360,7 @@ def _basis(velocity_grid):
     scale = np.where((q == 0) | (q == n), 1.0, 2.0)[None, :] / (2 * n)
     inverse = (forward.T * scale,
                np.concatenate([sin[:n + 1], -cos[n + 1:]]).T * scale)
+    table = (cos * np.where(np.arange(n) == 0, 1.0, 2.0), 2.0 * sin)
 
     def read_only(m):
         m = np.ascontiguousarray(m)
@@ -409,7 +370,8 @@ def _basis(velocity_grid):
     return (read_only(forward.T), read_only(forward),
             tuple(read_only(m) for m in inverse),
             tuple(read_only(m.T * velocity_grid.node_weight)
-                  for m in inverse))
+                  for m in inverse),
+            tuple(read_only(m) for m in table))
 
 
 def _scratch(n):
@@ -428,7 +390,7 @@ def _convolve_nodes(tables, nodes, out, index, scratch):
     one node, so its size does not grow with the share of the nodes.
     """
     n = tables.velocity_grid.n_v
-    forward_t, forward, inverse, last_t = _basis(tables.velocity_grid)
+    forward_t, forward, inverse, last_t, _ = _basis(tables.velocity_grid)
     kappa = tables.kappa.reshape(len(tables.kappa), 2 * n, 4 * n * n)
     coef, prod, wide, narrow = scratch
     for b in index:
@@ -485,11 +447,11 @@ def convolve_tables(tables, g, workers=None):
 _v_derivative = v_derivative_trailing
 
 
-def _flux(tables, phi_conv, deriv_conv, f, df, i):
+def _flux(phi_conv, deriv_conv, f, df, i):
     """Flux ``i`` of Q(g, f): sum_j (phi^{ij} * g) d_j f - (D_i * g) f."""
     flux = -deriv_conv[i] * f
     for j in range(3):
-        flux += phi_conv[tables.pair_index(i, j)] * df[j]
+        flux += phi_conv[_PAIR_INDEX[i, j]] * df[j]
     return flux
 
 
@@ -505,7 +467,7 @@ def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
     df = [_v_derivative(ve, f, j) for j in range(3)]
     out = None
     for i in range(3):
-        flux = _flux(tables, phi_conv, deriv_conv, f, df, i)
+        flux = _flux(phi_conv, deriv_conv, f, df, i)
         if add_flux is not None:
             flux += add_flux[i]
         term = _v_derivative(ve, flux, i)
@@ -597,11 +559,10 @@ def q_landau_direct(g, f, gamma, velocity_grid):
     w = velocity_grid.node_weight
     df = [_v_derivative(velocity_grid, f, j) for j in range(3)]
     out = np.zeros_like(f)
-    pair_order = {pair: k for k, pair in enumerate(_SYM_PAIRS)}
     for i in range(3):
         flux = np.zeros_like(f)
         for j in range(3):
-            kernel = phis[pair_order[(min(i, j), max(i, j))]]
+            kernel = phis[_PAIR_INDEX[i, j]]
             flux += _direct_convolve(kernel, g, w) * df[j]
         flux -= _direct_convolve(derivs[i], g, w) * f
         out += _v_derivative(velocity_grid, flux, i)
@@ -675,7 +636,7 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
     mu = maxwellian(tables.velocity_grid)
     phi_s, der_s = convolve_tables(tables, s, workers)
     dmu = mu_derivatives(tables)
-    flux_s_mu = [_flux(tables, phi_s, der_s, mu, dmu, i) for i in range(3)]
+    flux_s_mu = [_flux(phi_s, der_s, mu, dmu, i) for i in range(3)]
     # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
     # built in place on the fresh s convolutions (the same bits)
     phi_m, der_m = mu_convolutions(tables)

@@ -109,12 +109,8 @@ class SystemState:
     def consistency_residual(self):
         """Relative residual of ``-laplace(phi) = integral (f+ - f-) dv``."""
         rho = self.charge_density()
-        scale = max(l2_norm_x(self.grid, rho), 1e-300)
+        scale = max(l2_norm(self.grid, rho, "x"), 1e-300)
         return poisson.residual(self.grid.spatial, self.phi, rho) / scale
-
-
-def l2_norm_x(grid, field_x):
-    return l2_norm(grid, field_x, "x")
 
 
 # ---- moments and projections ----------------------------------------------

@@ -1,5 +1,7 @@
 """Every module-level import in ``src/vplandau`` is used by its module,
-and none of them reaches scipy: numpy.fft is the one transform library."""
+and none of them reaches scipy: numpy.fft is the one transform library.
+The collision operator uses none: its kernel tables and convolutions are
+real matrix products."""
 
 import ast
 import subprocess
@@ -69,3 +71,34 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def fft_uses(source):
+    """Lines that import from ``numpy.fft`` or read ``np.fft``/``numpy.fft``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.fft") for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.fft") or (
+                    node.module == "numpy"
+                    and any(a.name == "fft" for a in node.names)):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_fft_uses():
+    source = ("import numpy as np\nfrom numpy.fft import rfftn\n"
+              "from numpy import fft\nimport numpy.fft\n"
+              "def f(a):\n    return np.fft.fftn(a) + np.sum(a)\n")
+    assert fft_uses(source) == [2, 3, 4, 6]
+
+
+def test_collision_operator_uses_no_fft():
+    path = Path(vplandau.__file__).parent / "landau.py"
+    assert fft_uses(path.read_text()) == []
