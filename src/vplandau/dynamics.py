@@ -41,7 +41,7 @@ class TimeStepConfig:
     picard_max_iters: int = 25
     conservative_correction: bool = True
     linearized: bool = False
-    workers: int | None = None  # threads of landau.convolve_tables
+    workers: int | None = None  # threads of landau.frozen_collision
 
     def __post_init__(self):
         if self.dt <= 0:

@@ -271,13 +271,14 @@ def derivative_matrix(axis_grid, order):
     return mat
 
 
-def axis_derivative(axis_grid, values, axis, order=1):
+def axis_derivative(axis_grid, values, axis, order=1, out=None):
     """Spectral derivative along array ``axis``, sampled by ``axis_grid``.
 
     One matrix product with :func:`derivative_matrix`: ``(pre, n) @ D^T``
     when ``axis`` is last, else ``D @ (pre, n, post)`` on the input
     reshaped around the axis.  Real input gives real output, complex input
-    complex output.
+    complex output.  ``out``, a C-contiguous array shaped like ``values``,
+    takes the result in place of a new array.
     """
     mat = derivative_matrix(axis_grid, order)
     axis %= values.ndim
@@ -285,8 +286,11 @@ def axis_derivative(axis_grid, values, axis, order=1):
     n = shape[axis]
     post = math.prod(shape[axis + 1:])
     if post == 1:
-        return (values.reshape(-1, n) @ mat.T).reshape(shape)
-    return (mat @ values.reshape(-1, n, post)).reshape(shape)
+        a, b, rows = values.reshape(-1, n), mat.T, (-1, n)
+    else:
+        a, b, rows = mat, values.reshape(-1, n, post), (-1, n, post)
+    return np.matmul(a, b, out=None if out is None
+                     else out.reshape(rows)).reshape(shape)
 
 
 def spectral_derivative(grid, values, axis, order=1):
@@ -334,12 +338,14 @@ def l2_norm(grid, values, domain="xv"):
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * w)
 
 
-def v_derivative_trailing(velocity_grid, values, axis):
+def v_derivative_trailing(velocity_grid, values, axis, out=None):
     """Spectral d/dv_axis acting on the trailing three (velocity) axes.
 
-    Works for velocity-only fields and for phase-space fields alike.
+    Works for velocity-only fields and for phase-space fields alike;
+    ``out`` as in :func:`axis_derivative`.
     """
-    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis)
+    return axis_derivative(velocity_grid, values, values.ndim - 3 + axis,
+                           out=out)
 
 
 # ---- truncation / aliasing tolerance -------------------------------------

@@ -381,8 +381,37 @@ def _scratch(n):
             np.empty((n, 2 * n, 2 * n)), np.empty((n, n, 2 * n)))
 
 
-def _convolve_nodes(tables, nodes, out, index, scratch):
-    """Convolutions of the velocity fields ``nodes[b]``, b in ``index``.
+def _split_nodes(count, workers, prepare):
+    """Run a job per contiguous block of ``count`` spatial nodes.
+
+    The nodes split as ``np.array_split`` splits them into
+    ``min(workers, count // 2)`` blocks (one at least).  A block keeps two
+    nodes or more: OpenBLAS takes a product with one row through gemv, whose
+    sums round differently from gemm's, and the corrector's products have a
+    row per node.  ``prepare(part)``, ``part`` the block's slice, runs in the
+    calling thread and returns the block's job; it allocates the block's
+    buffers, because memory a worker thread allocates stays with its
+    allocator arena after the thread exits.  The calling thread runs the
+    first job and a thread pool the others.  Every node runs the same
+    operations either way, so results do not depend on ``workers``.
+    """
+    k = max(1, min(workers or 1, count // 2))
+    size, extra = divmod(count, k)
+    edges = [b * size + min(b, extra) for b in range(k + 1)]
+    first, *rest = [prepare(slice(lo, hi))
+                    for lo, hi in zip(edges, edges[1:])]
+    if not rest:
+        first()
+        return
+    with ThreadPoolExecutor(len(rest)) as pool:
+        running = [pool.submit(job) for job in rest]
+        first()
+        for done in running:
+            done.result()
+
+
+def _convolve_nodes(tables, nodes, out, part, scratch):
+    """Convolutions of the velocity fields ``nodes[b]``, b in slice ``part``.
 
     Per node: three forward products into the ``(2n)^3`` coefficients, then
     per kernel the real product with its table and three inverse products,
@@ -393,7 +422,7 @@ def _convolve_nodes(tables, nodes, out, index, scratch):
     forward_t, forward, inverse, last_t, _ = _basis(tables.velocity_grid)
     kappa = tables.kappa.reshape(len(tables.kappa), 2 * n, 4 * n * n)
     coef, prod, wide, narrow = scratch
-    for b in index:
+    for b in range(part.start, part.stop):
         np.matmul(nodes[b].reshape(n * n, n), forward_t,
                   out=narrow.reshape(n * n, 2 * n))
         np.matmul(forward, narrow, out=wide)
@@ -421,25 +450,14 @@ def convolve_tables(tables, g, workers=None):
     field's ``n`` values per axis map to ``2n`` coefficients, each kernel
     multiplies them by its real table ``kappa`` and the inverse products
     return the ``n^3`` corner.  With ``workers > 1`` the spatial nodes are
-    split over a thread pool; every node runs the same products either way,
-    so the output does not depend on ``workers``.
+    split over a thread pool (:func:`_split_nodes`).
     """
     n = tables.velocity_grid.n_v
     g = np.asarray(g, dtype=float)
     nodes = g.reshape((-1,) + (n,) * 3)
     out = np.empty((len(tables.kappa), len(nodes)) + (n,) * 3)
-    parts = np.array_split(np.arange(len(nodes)),
-                           max(1, min(workers or 1, len(nodes))))
-    # the scratch is allocated here: memory a worker thread allocates stays
-    # with its allocator arena after the thread exits
-    jobs = [partial(_convolve_nodes, tables, nodes, out, part, _scratch(n))
-            for part in parts]
-    if len(jobs) == 1:
-        jobs[0]()
-    else:
-        with ThreadPoolExecutor(len(jobs)) as pool:
-            for done in [pool.submit(job) for job in jobs]:
-                done.result()
+    _split_nodes(len(nodes), workers, lambda part: partial(
+        _convolve_nodes, tables, nodes, out, part, _scratch(n)))
     out = out.reshape((len(tables.kappa),) + g.shape)
     return list(out[:6]), list(out[6:])
 
@@ -447,34 +465,41 @@ def convolve_tables(tables, g, workers=None):
 _v_derivative = v_derivative_trailing
 
 
-def _flux(phi_conv, deriv_conv, f, df, i):
-    """Flux ``i`` of Q(g, f): sum_j (phi^{ij} * g) d_j f - (D_i * g) f."""
-    flux = -deriv_conv[i] * f
+def _flux(phi_conv, deriv_conv, f, df, i, out, tmp):
+    """Flux ``i`` of Q(g, f) into ``out``: sum_j (phi^{ij} * g) d_j f -
+    (D_i * g) f; ``tmp`` takes one product at a time."""
+    np.negative(np.multiply(deriv_conv[i], f, out=out), out=out)
     for j in range(3):
-        flux += phi_conv[_PAIR_INDEX[i, j]] * df[j]
-    return flux
+        out += np.multiply(phi_conv[_PAIR_INDEX[i, j]], df[j], out=tmp)
+    return out
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
+def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None,
+                        work=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
     flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
     storing D_i = d_j phi^{ij} = -2 |u|^gamma u_i, then Q = d_i flux_i.
     ``add_flux`` may supply three fluxes (broadcasting against ``f``) added
     before the divergence, which then yields the sum of both operators.
+    ``work`` may supply six arrays shaped like ``f`` (the derivatives of
+    ``f``, the flux, a product, the output) that take every intermediate;
+    the last one is returned.
     """
     ve = tables.velocity_grid
-    df = [_v_derivative(ve, f, j) for j in range(3)]
-    out = None
+    if work is None:
+        work = [np.empty(f.shape) for _ in range(6)]
+    *df, flux, tmp, out = work
+    for j in range(3):
+        _v_derivative(ve, f, j, out=df[j])
     for i in range(3):
-        flux = _flux(phi_conv, deriv_conv, f, df, i)
+        _flux(phi_conv, deriv_conv, f, df, i, flux, tmp)
         if add_flux is not None:
             flux += add_flux[i]
-        term = _v_derivative(ve, flux, i)
-        if out is None:
-            out = term
+        if i == 0:
+            _v_derivative(ve, flux, i, out=out)
         else:
-            out += term
+            out += _v_derivative(ve, flux, i, out=tmp)
     return out
 
 
@@ -595,17 +620,26 @@ class ConservativeCorrector:
         # gram[m, k]: the m-th invariant moment of the k-th basis field
         self.gram_inv = np.linalg.inv(invariant_moments(ve, self.basis))
 
-    def apply(self, rhs_plus, rhs_minus):
+    def apply(self, rhs_plus, rhs_minus, out=None):
+        """The corrected pair; ``out`` may supply its two arrays, which
+        then also take the call's intermediate fields."""
         ve = self.velocity_grid
-        defect = (invariant_moments(ve, rhs_plus)
-                  + invariant_moments(ve, rhs_minus))
+        if out is None:
+            out = np.empty_like(rhs_plus), np.empty_like(rhs_minus)
+        plus, minus = out
+        defect = (invariant_moments(ve, rhs_plus, minus)
+                  + invariant_moments(ve, rhs_minus, minus))
         target = 0.5 * defect
         target[0] = 0.0  # keep per-species mass untouched (already exact)
         alpha = np.tensordot(self.gram_inv, target, axes=(1, 0))
-        # contract the basis index; spatial axes (if any) land ahead of the
-        # velocity axes, matching the field layout
-        corr = np.tensordot(alpha, self.basis, axes=(0, 0))
-        return rhs_plus - corr, rhs_minus - corr
+        # contract the basis index, as np.tensordot(alpha, basis, (0, 0))
+        # does; spatial axes (if any) land ahead of the velocity axes
+        nodes = np.ascontiguousarray(alpha.reshape(len(alpha), -1).T)
+        corr = np.dot(nodes, self.basis.reshape(len(alpha), -1),
+                      out=minus.reshape(len(nodes), -1))
+        np.subtract(rhs_plus, corr.reshape(plus.shape), out=plus)
+        np.subtract(rhs_minus, corr.reshape(minus.shape), out=minus)
+        return plus, minus
 
 
 # ---- assembled collision right-hand side -------------------------------------
@@ -625,32 +659,67 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
 
     Convolves ``s`` once and returns the closure
     ``rhs(f+, f-) = Q(s, mu) + Q(2 mu + s, f_pm)`` (the convolution is linear
-    in its first argument, and the Maxwellian convolutions are cached).  With
-    ``linearized=True`` the closure is ``Q(s, mu) + Q(2 mu, f_pm)``, the
-    linearized operator when ``s = f+ + f-``.  The fluxes of ``Q(s, mu)``
-    are built once, from the cached Maxwellian derivatives, and added to the
-    ``f_pm`` fluxes, so each call takes a single divergence.  A
-    ``corrector`` is applied to every output.  This is the only place the
-    collision right-hand side is assembled.
+    in its first argument, and the Maxwellian convolutions are cached), with
+    ``f_pm`` shaped like ``s``.  With ``linearized=True`` the closure is
+    ``Q(s, mu) + Q(2 mu, f_pm)``, the linearized operator when ``s = f+ +
+    f-``.  The fluxes of ``Q(s, mu)`` are built once, from the cached
+    Maxwellian derivatives, and added to the ``f_pm`` fluxes, so each call
+    takes a single divergence.  A ``corrector`` is applied to every output.
+    This is the only place the collision right-hand side is assembled.
+
+    The operator acts in ``v`` alone, so the fluxes, the closure's
+    assembly and its correction run block by block over the spatial nodes,
+    on ``workers`` threads (:func:`_split_nodes`).
     """
-    mu = maxwellian(tables.velocity_grid)
+    ve = tables.velocity_grid
+    mu = maxwellian(ve)
     phi_s, der_s = convolve_tables(tables, s, workers)
+    conv = [c.reshape((-1,) + ve.shape) for c in phi_s + der_s]
+    count = len(conv[0])
     dmu = mu_derivatives(tables)
-    flux_s_mu = [_flux(phi_s, der_s, mu, dmu, i) for i in range(3)]
+    flux_s_mu = np.empty((3, count) + ve.shape)
     # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
     # built in place on the fresh s convolutions (the same bits)
     phi_m, der_m = mu_convolutions(tables)
-    tot = [(2.0 * m if linearized else np.add(c, 2.0 * m, out=c))[None]
-           for m, c in zip(phi_m + der_m, phi_s + der_s)]
-    phi_tot, der_tot = tot[:6], tot[6:]
+    two_mu = [2.0 * m for m in phi_m + der_m]
+
+    def frozen_nodes(part):
+        tmp = np.empty((part.stop - part.start,) + ve.shape)
+
+        def job():
+            at = [c[part] for c in conv]
+            for i in range(3):
+                _flux(at[:6], at[6:], mu, dmu, i, flux_s_mu[i, part], tmp)
+            if not linearized:
+                for c, m in zip(at, two_mu):
+                    np.add(c, m, out=c)
+        return job
+
+    _split_nodes(count, workers, frozen_nodes)
 
     def rhs(f_plus, f_minus):
-        rp, rm = q_from_convolutions(tables, phi_tot, der_tot,
-                                     np.stack([f_plus, f_minus]),
-                                     add_flux=flux_s_mu)
-        if corrector is not None:
-            rp, rm = corrector.apply(rp, rm)
-        return rp, rm
+        f_pm = [f.reshape(conv[0].shape) for f in (f_plus, f_minus)]
+        out = np.empty((2,) + conv[0].shape)
+
+        def rhs_nodes(part):
+            # the stacked pair and the six arrays of q_from_convolutions
+            f, *work = np.empty((7, 2, part.stop - part.start) + ve.shape)
+
+            def job():
+                f[0], f[1] = (g[part] for g in f_pm)
+                at = two_mu if linearized else [c[part] for c in conv]
+                q = q_from_convolutions(tables, at[:6], at[6:], f,
+                                        add_flux=flux_s_mu[:, part],
+                                        work=work)
+                if corrector is None:
+                    out[:, part] = q
+                else:
+                    corrector.apply(q[0], q[1], out=out[:, part])
+            return job
+
+        _split_nodes(count, workers, rhs_nodes)
+        return out[0].reshape(np.shape(f_plus)), out[1].reshape(
+            np.shape(f_minus))
 
     return rhs
 

@@ -395,6 +395,16 @@ class TestCLI:
             [sys.executable, "-m", "vplandau.cli", *args],
             capture_output=True, text=True, env=full_env)
 
+    def test_python_m_package(self):
+        # a source checkout has no console script, only the package
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vplandau", "--help"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert "operator-test" in proc.stdout
+
     def test_bad_config_exit_2_with_violations(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(MINIMAL.replace("-3.0", "9.0"))

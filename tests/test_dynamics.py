@@ -1,6 +1,7 @@
 """Time integration: transport, field and collision substeps, the driver."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -263,8 +264,12 @@ class TestCollisionStep:
 
 
 class TestWorkers:
-    """The collision convolutions split the spatial nodes across workers;
-    results must not move."""
+    """The collision right-hand side splits the spatial nodes across
+    workers; results must not move.  On n_x = 4, three workers make two
+    blocks of two nodes (a block keeps two nodes or more); the landau tests
+    take uneven blocks."""
+
+    WORKERS = (2, 3)
 
     @pytest.fixture
     def state(self):
@@ -286,19 +291,42 @@ class TestWorkers:
         st = make_initial_condition(grid, amplitude=1e-3, seed=6)
         tables = landau.build_kernel_tables(-3.0, grid.velocity,
                                             measure=False)
-        one, two = (advance(st.clone(), 2 * dt, TimeStepConfig(
-            dt=dt, scheme=scheme, workers=w), tables) for w in (1, 2))
-        self.assert_identical(one, two)
+        one, *more = (advance(st.clone(), 2 * dt, TimeStepConfig(
+            dt=dt, scheme=scheme, workers=w), tables)
+            for w in (1,) + self.WORKERS)
+        for other in more:
+            self.assert_identical(one, other)
 
     @SCHEMES
     def test_collision(self, state, scheme, dt):
         tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
                                             measure=False)
-        one, two = (
+        one, *more = (
             collision_step(state, dt, TimeStepConfig(
                 dt=dt, scheme=scheme, workers=w), tables)[0]
-            for w in (1, 2))
-        self.assert_identical(one, two)
+            for w in (1,) + self.WORKERS)
+        for other in more:
+            self.assert_identical(one, other)
+
+    @SCHEMES
+    def test_linearized_collision(self, state, scheme, dt):
+        tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
+                                            measure=False)
+        one, *more = (
+            collision_step(state, dt, TimeStepConfig(
+                dt=dt, scheme=scheme, linearized=True, workers=w), tables)[0]
+            for w in (1,) + self.WORKERS)
+        for other in more:
+            self.assert_identical(one, other)
+
+    def test_no_thread_outlives_advance(self):
+        grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(8, 4.0))
+        st = make_initial_condition(grid, amplitude=1e-3, seed=6)
+        tables = landau.build_kernel_tables(-3.0, grid.velocity,
+                                            measure=False)
+        before = threading.active_count()
+        advance(st, 0.02, TimeStepConfig(dt=1e-2, workers=2), tables)
+        assert threading.active_count() == before
 
 
 class TestAdvance:
