@@ -41,7 +41,7 @@ def _boolean(text):
     return state
 
 
-_THREAD_COUNT = _rejecting(int, lambda n: n < 1, "positive integer required")
+_POSITIVE_INT = _rejecting(int, lambda n: n < 1, "positive integer required")
 _POSITIVE = _rejecting(float, lambda x: x <= 0, "must be positive")
 _GRID_SIZE = _rejecting(int, lambda n: n < 4 or n & (n - 1) != 0,
                         "power of two >= 4 required")
@@ -57,7 +57,7 @@ _KEYS = {
     "time": {"dt": ("0.01", _POSITIVE), "t_final": ("1.0", float),
              "scheme": ("strang_rk4", ("strang_rk4", "picard_implicit")),
              "picard_tol": ("1e-10", _POSITIVE),
-             "picard_max_iters": ("25", int)},
+             "picard_max_iters": ("25", _POSITIVE_INT)},
     "initial": {
         "family": ("single_mode",
                    ("single_mode", "two_mode", "random_bandlimited")),
@@ -72,7 +72,8 @@ _KEYS = {
     "output": {"directory": ("out", str.strip),
                "csv": ("series.csv", str.strip),
                "summary": ("summary.json", str.strip),
-               "checkpoint_every": ("0", int),
+               "checkpoint_every": ("0", _rejecting(
+                   int, lambda n: n < 0, "must be >= 0 (0: no checkpoints)")),
                "record_every": ("1", lambda t: max(1, int(t)))},
     "flags": {"conservative_correction": ("true", _boolean),
               "mode": ("nonlinear",
@@ -197,7 +198,7 @@ def parse_config(text, overrides=None):
 
     env = os.environ.get("VPLANDAU_THREADS", "").strip()
     try:
-        values["workers"] = _THREAD_COUNT(env) if env else None
+        values["workers"] = _POSITIVE_INT(env) if env else None
     except ValueError:
         violations.append(
             f"VPLANDAU_THREADS: positive integer required, got {env!r}")

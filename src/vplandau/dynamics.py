@@ -41,13 +41,19 @@ class TimeStepConfig:
     picard_max_iters: int = 25
     conservative_correction: bool = True
     linearized: bool = False
-    workers: int | None = None  # threads of landau.frozen_collision
+    # threads over which the collision substep splits the spatial nodes;
+    # each node block runs the whole integrator (landau.split_nodes)
+    workers: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
+        if self.picard_max_iters < 1:
+            raise ValueError("picard_max_iters must be at least 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be None or at least 1")
         if self.scheme not in ("strang_rk4", "picard_implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -313,6 +319,11 @@ def collision_step(state, dt, cfg, tables, corrector=None):
       stage (``strang_rk4``, and every linearized run, whose operator is
       itself the frozen problem), or the previous iterate of the Picard
       iteration of the approximation scheme (nonlinear ``picard_implicit``).
+
+    Either way each spatial node is its own ODE, so one integration splits
+    the nodes once over ``cfg.workers`` threads (:func:`landau.split_nodes`)
+    and each block integrates its nodes; the finiteness check and the
+    Picard norm run on the joined arrays.
     """
     if not cfg.conservative_correction:
         corrector = None
@@ -323,21 +334,35 @@ def collision_step(state, dt, cfg, tables, corrector=None):
         rho = collision_spectral_radius(tables) * 1.25
         if dt * rho > 2.5:
             stages = rkc_stages_for(dt, rho)
+    shape = state.f_plus.shape
 
-    def frozen(s):
-        return landau.frozen_collision(tables, s, cfg.linearized, corrector,
-                                       cfg.workers)
+    def nodes(f):
+        return f.reshape((-1,) + shape[-3:])
 
-    def integrate(rhs):
-        if stages:
-            out = rkc_step_pair(rhs, state.f_plus, state.f_minus, dt, stages)
-        else:
-            out = _rk4_pair(rhs, state.f_plus, state.f_minus, dt)
+    def integrate(frozen_at=None):
+        # frozen_at: f+ + f- of the previous Picard iterate, or None to
+        # freeze each stage at its own f+ + f-
+        def block(part):
+            fp, fm = (nodes(f)[part] for f in (state.f_plus, state.f_minus))
+            if frozen_at is None:
+                def rhs(a, b):
+                    return landau.frozen_collision(
+                        tables, a + b, cfg.linearized, corrector)(a, b)
+            else:
+                rhs = landau.frozen_collision(
+                    tables, nodes(frozen_at)[part], corrector=corrector)
+            if stages:
+                return rkc_step_pair(rhs, fp, fm, dt, stages)
+            return _rk4_pair(rhs, fp, fm, dt)
+
+        blocks = landau.split_nodes(len(nodes(state.f_plus)), cfg.workers,
+                                    block)
+        out = [np.concatenate(f).reshape(shape) for f in zip(*blocks)]
         _check_finite("collision", state.time, out)
         return out
 
     if cfg.scheme == "strang_rk4" or cfg.linearized:
-        new_p, new_m = integrate(lambda fp, fm: frozen(fp + fm)(fp, fm))
+        new_p, new_m = integrate()
         return state.with_fields(new_p, new_m), 0, ()
 
     # Picard mode: solve d_tau u_pm = Q(S_g, mu) + Q(2 mu + S_g, u_pm) over
@@ -348,7 +373,7 @@ def collision_step(state, dt, cfg, tables, corrector=None):
     prev_diff = None
     ratios = []
     for it in range(1, cfg.picard_max_iters + 1):
-        new_p, new_m = integrate(frozen(prev_p + prev_m))
+        new_p, new_m = integrate(prev_p + prev_m)
         diff = math.sqrt(
             l2_norm(g, new_p - prev_p) ** 2 + l2_norm(g, new_m - prev_m) ** 2
         )

@@ -29,6 +29,14 @@ The collision right-hand side of the perturbation system,
 :func:`frozen_collision`, which freezes the first argument at a given ``S``;
 :func:`apply_collision_field`, :func:`apply_linearized_collision` and the
 collision substeps of :mod:`vplandau.dynamics` all go through it.
+
+The operator acts in ``v`` alone, so the ``workers`` threads
+(``VPLANDAU_THREADS``) split the spatial nodes into blocks, in one helper,
+:func:`split_nodes`.  The collision substep calls it once per RK4 substep or
+Picard iteration, and each block runs the whole integrator on its nodes
+through a single-threaded :func:`frozen_collision`;
+:func:`convolve_tables` and :func:`apply_collision_field` split their nodes
+through it too.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -381,33 +389,28 @@ def _scratch(n):
             np.empty((n, 2 * n, 2 * n)), np.empty((n, n, 2 * n)))
 
 
-def _split_nodes(count, workers, prepare):
-    """Run a job per contiguous block of ``count`` spatial nodes.
+def split_nodes(count, workers, job):
+    """Run ``job(part)`` per contiguous block of ``count`` spatial nodes.
 
     The nodes split as ``np.array_split`` splits them into
-    ``min(workers, count // 2)`` blocks (one at least).  A block keeps two
-    nodes or more: OpenBLAS takes a product with one row through gemv, whose
-    sums round differently from gemm's, and the corrector's products have a
-    row per node.  ``prepare(part)``, ``part`` the block's slice, runs in the
-    calling thread and returns the block's job; it allocates the block's
-    buffers, because memory a worker thread allocates stays with its
-    allocator arena after the thread exits.  The calling thread runs the
-    first job and a thread pool the others.  Every node runs the same
-    operations either way, so results do not depend on ``workers``.
+    ``min(workers, count // 2)`` blocks (one at least), ``part`` the block's
+    slice.  A block keeps two nodes or more: OpenBLAS takes a product with
+    one row through gemv, whose sums round differently from gemm's, and the
+    corrector's products have a row per node.  The calling thread runs the
+    first block and a thread pool the others.  Every node runs the same
+    operations either way, so results do not depend on ``workers``.  Jobs
+    that find a lazy cache of the tables empty may each fill it; every fill
+    computes the same values.  Returns the jobs' results in node order.
     """
     k = max(1, min(workers or 1, count // 2))
     size, extra = divmod(count, k)
     edges = [b * size + min(b, extra) for b in range(k + 1)]
-    first, *rest = [prepare(slice(lo, hi))
-                    for lo, hi in zip(edges, edges[1:])]
+    first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     if not rest:
-        first()
-        return
+        return [job(first)]
     with ThreadPoolExecutor(len(rest)) as pool:
-        running = [pool.submit(job) for job in rest]
-        first()
-        for done in running:
-            done.result()
+        running = [pool.submit(job, part) for part in rest]
+        return [job(first)] + [done.result() for done in running]
 
 
 def _convolve_nodes(tables, nodes, out, part, scratch):
@@ -450,14 +453,14 @@ def convolve_tables(tables, g, workers=None):
     field's ``n`` values per axis map to ``2n`` coefficients, each kernel
     multiplies them by its real table ``kappa`` and the inverse products
     return the ``n^3`` corner.  With ``workers > 1`` the spatial nodes are
-    split over a thread pool (:func:`_split_nodes`).
+    split over a thread pool (:func:`split_nodes`).
     """
     n = tables.velocity_grid.n_v
     g = np.asarray(g, dtype=float)
     nodes = g.reshape((-1,) + (n,) * 3)
     out = np.empty((len(tables.kappa), len(nodes)) + (n,) * 3)
-    _split_nodes(len(nodes), workers, lambda part: partial(
-        _convolve_nodes, tables, nodes, out, part, _scratch(n)))
+    split_nodes(len(nodes), workers, lambda part: _convolve_nodes(
+        tables, nodes, out, part, _scratch(n)))
     out = out.reshape((len(tables.kappa),) + g.shape)
     return list(out[:6]), list(out[6:])
 
@@ -474,22 +477,16 @@ def _flux(phi_conv, deriv_conv, f, df, i, out, tmp):
     return out
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None,
-                        work=None):
+def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
     flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
     storing D_i = d_j phi^{ij} = -2 |u|^gamma u_i, then Q = d_i flux_i.
     ``add_flux`` may supply three fluxes (broadcasting against ``f``) added
     before the divergence, which then yields the sum of both operators.
-    ``work`` may supply six arrays shaped like ``f`` (the derivatives of
-    ``f``, the flux, a product, the output) that take every intermediate;
-    the last one is returned.
     """
     ve = tables.velocity_grid
-    if work is None:
-        work = [np.empty(f.shape) for _ in range(6)]
-    *df, flux, tmp, out = work
+    *df, flux, tmp, out = [np.empty(f.shape) for _ in range(6)]
     for j in range(3):
         _v_derivative(ve, f, j, out=df[j])
     for i in range(3):
@@ -512,7 +509,7 @@ def mu_derivatives(tables):
     return tables._mu_derivs
 
 
-def q_landau_fft(g, f, tables, workers=None):
+def q_landau_fft(g, f, tables):
     """Q(g, f) on the tables' velocity grid via the doubled-box convolution.
 
     ``g`` and ``f`` are velocity fields (possibly with leading spatial axes,
@@ -527,7 +524,7 @@ def q_landau_fft(g, f, tables, workers=None):
             f"velocity shapes {g.shape} / {f.shape} do not match grid "
             f"{tables.velocity_grid.shape}"
         )
-    phi_conv, deriv_conv = convolve_tables(tables, g, workers)
+    phi_conv, deriv_conv = convolve_tables(tables, g)
     return q_from_convolutions(tables, phi_conv, deriv_conv, f)
 
 
@@ -620,26 +617,18 @@ class ConservativeCorrector:
         # gram[m, k]: the m-th invariant moment of the k-th basis field
         self.gram_inv = np.linalg.inv(invariant_moments(ve, self.basis))
 
-    def apply(self, rhs_plus, rhs_minus, out=None):
-        """The corrected pair; ``out`` may supply its two arrays, which
-        then also take the call's intermediate fields."""
+    def apply(self, rhs_plus, rhs_minus):
+        """The corrected pair, in fresh arrays."""
         ve = self.velocity_grid
-        if out is None:
-            out = np.empty_like(rhs_plus), np.empty_like(rhs_minus)
-        plus, minus = out
-        defect = (invariant_moments(ve, rhs_plus, minus)
-                  + invariant_moments(ve, rhs_minus, minus))
+        defect = (invariant_moments(ve, rhs_plus)
+                  + invariant_moments(ve, rhs_minus))
         target = 0.5 * defect
         target[0] = 0.0  # keep per-species mass untouched (already exact)
         alpha = np.tensordot(self.gram_inv, target, axes=(1, 0))
-        # contract the basis index, as np.tensordot(alpha, basis, (0, 0))
-        # does; spatial axes (if any) land ahead of the velocity axes
-        nodes = np.ascontiguousarray(alpha.reshape(len(alpha), -1).T)
-        corr = np.dot(nodes, self.basis.reshape(len(alpha), -1),
-                      out=minus.reshape(len(nodes), -1))
-        np.subtract(rhs_plus, corr.reshape(plus.shape), out=plus)
-        np.subtract(rhs_minus, corr.reshape(minus.shape), out=minus)
-        return plus, minus
+        # contract the basis index; spatial axes (if any) land ahead of the
+        # velocity axes, matching the field layout
+        corr = np.tensordot(alpha, self.basis, axes=(0, 0))
+        return rhs_plus - corr, rhs_minus - corr
 
 
 # ---- assembled collision right-hand side -------------------------------------
@@ -653,8 +642,7 @@ def mu_convolutions(tables):
     return tables._mu_conv
 
 
-def frozen_collision(tables, s, linearized=False, corrector=None,
-                     workers=None):
+def frozen_collision(tables, s, linearized=False, corrector=None):
     """Collision right-hand side with its first argument frozen at ``s``.
 
     Convolves ``s`` once and returns the closure
@@ -665,60 +653,35 @@ def frozen_collision(tables, s, linearized=False, corrector=None,
     f-``.  The fluxes of ``Q(s, mu)`` are built once, from the cached
     Maxwellian derivatives, and added to the ``f_pm`` fluxes, so each call
     takes a single divergence.  A ``corrector`` is applied to every output.
-    This is the only place the collision right-hand side is assembled.
-
-    The operator acts in ``v`` alone, so the fluxes, the closure's
-    assembly and its correction run block by block over the spatial nodes,
-    on ``workers`` threads (:func:`_split_nodes`).
+    This is the only place the collision right-hand side is assembled; it
+    runs on the calling thread.
     """
     ve = tables.velocity_grid
     mu = maxwellian(ve)
-    phi_s, der_s = convolve_tables(tables, s, workers)
+    phi_s, der_s = convolve_tables(tables, s)
     conv = [c.reshape((-1,) + ve.shape) for c in phi_s + der_s]
-    count = len(conv[0])
     dmu = mu_derivatives(tables)
-    flux_s_mu = np.empty((3, count) + ve.shape)
+    flux_s_mu = np.empty((3,) + conv[0].shape)
+    tmp = np.empty(conv[0].shape)
+    for i in range(3):
+        _flux(conv[:6], conv[6:], mu, dmu, i, flux_s_mu[i], tmp)
     # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
-    # built in place on the fresh s convolutions (the same bits)
+    # built in place on the fresh s convolutions
     phi_m, der_m = mu_convolutions(tables)
     two_mu = [2.0 * m for m in phi_m + der_m]
-
-    def frozen_nodes(part):
-        tmp = np.empty((part.stop - part.start,) + ve.shape)
-
-        def job():
-            at = [c[part] for c in conv]
-            for i in range(3):
-                _flux(at[:6], at[6:], mu, dmu, i, flux_s_mu[i, part], tmp)
-            if not linearized:
-                for c, m in zip(at, two_mu):
-                    np.add(c, m, out=c)
-        return job
-
-    _split_nodes(count, workers, frozen_nodes)
+    if linearized:
+        conv = two_mu
+    else:
+        for c, m in zip(conv, two_mu):
+            c += m
 
     def rhs(f_plus, f_minus):
-        f_pm = [f.reshape(conv[0].shape) for f in (f_plus, f_minus)]
-        out = np.empty((2,) + conv[0].shape)
-
-        def rhs_nodes(part):
-            # the stacked pair and the six arrays of q_from_convolutions
-            f, *work = np.empty((7, 2, part.stop - part.start) + ve.shape)
-
-            def job():
-                f[0], f[1] = (g[part] for g in f_pm)
-                at = two_mu if linearized else [c[part] for c in conv]
-                q = q_from_convolutions(tables, at[:6], at[6:], f,
-                                        add_flux=flux_s_mu[:, part],
-                                        work=work)
-                if corrector is None:
-                    out[:, part] = q
-                else:
-                    corrector.apply(q[0], q[1], out=out[:, part])
-            return job
-
-        _split_nodes(count, workers, rhs_nodes)
-        return out[0].reshape(np.shape(f_plus)), out[1].reshape(
+        f = np.stack([f_plus, f_minus]).reshape((2, -1) + ve.shape)
+        q = q_from_convolutions(tables, conv[:6], conv[6:], f,
+                                add_flux=flux_s_mu)
+        if corrector is not None:
+            q = corrector.apply(q[0], q[1])
+        return q[0].reshape(np.shape(f_plus)), q[1].reshape(
             np.shape(f_minus))
 
     return rhs
@@ -728,23 +691,31 @@ def apply_collision_field(state, tables, conservative=True, corrector=None,
                           workers=None):
     """Collision right-hand side of the perturbation system for both species.
 
-    ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` at every spatial node.  With
+    ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` at every spatial node, the
+    nodes split over ``workers`` threads (:func:`split_nodes`).  With
     ``conservative=True`` the moment-matched correction is applied so the
     discrete invariants of the assembled output vanish exactly.
     """
-    if tables.velocity_grid.shape != state.grid.velocity.shape:
+    ve = state.grid.velocity
+    if tables.velocity_grid.shape != ve.shape:
         raise GridMismatchError("tables built for a different velocity grid")
     if not conservative:
         corrector = None
     elif corrector is None:
-        corrector = ConservativeCorrector(state.grid.velocity)
-    rhs = frozen_collision(tables, state.f_plus + state.f_minus,
-                           corrector=corrector, workers=workers)
-    return rhs(state.f_plus, state.f_minus)
+        corrector = ConservativeCorrector(ve)
+    fp, fm = (f.reshape((-1,) + ve.shape) for f in (state.f_plus,
+                                                      state.f_minus))
+
+    def block(part):
+        return frozen_collision(tables, fp[part] + fm[part],
+                                corrector=corrector)(fp[part], fm[part])
+
+    blocks = split_nodes(len(fp), workers, block)
+    return tuple(np.concatenate(q).reshape(state.f_plus.shape)
+                 for q in zip(*blocks))
 
 
-def apply_linearized_collision(f_plus, f_minus, tables, workers=None):
+def apply_linearized_collision(f_plus, f_minus, tables):
     """Linearized collision operator L f = Q(f+ + f-, mu) + 2 Q(mu, f_pm)."""
-    rhs = frozen_collision(tables, f_plus + f_minus, linearized=True,
-                           workers=workers)
+    rhs = frozen_collision(tables, f_plus + f_minus, linearized=True)
     return rhs(f_plus, f_minus)

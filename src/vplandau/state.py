@@ -48,18 +48,16 @@ def invariants(velocity_grid):
     return psi, psi_mu
 
 
-def invariant_moments(velocity_grid, f, scratch=None):
+def invariant_moments(velocity_grid, f):
     """``int psi f dv`` for the collision invariants, stacked on a new
     leading axis.
 
     The integrals reduce over the trailing three (velocity) axes of ``f``, so
-    a phase-space field gives one spatial field per invariant.  ``scratch``,
-    an array shaped like ``f``, takes the products ``psi f``.
+    a phase-space field gives one spatial field per invariant.
     """
     psi = invariants(velocity_grid)[0]
     moments = [np.sum(f, axis=_V_AXES)]  # psi_0 = 1 needs no product
-    moments += [np.sum(np.multiply(f, p, out=scratch), axis=_V_AXES)
-                for p in psi[1:]]
+    moments += [np.sum(f * p, axis=_V_AXES) for p in psi[1:]]
     return np.stack(moments) * velocity_grid.node_weight
 
 

@@ -149,6 +149,24 @@ x = 1
         assert [v for v in err.value.violations
                 if v.startswith(dotted + ":")], err.value.violations
 
+    def test_bad_counts_are_violations(self):
+        # no Picard iteration at all; a negative checkpoint period, which
+        # step % period would take as its absolute value
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides={"time.picard_max_iters": "0",
+                                             "output.checkpoint_every": "-2",
+                                             "time.dt": "0"})
+        msgs = err.value.violations
+        for name in ("time.picard_max_iters", "output.checkpoint_every",
+                     "time.dt"):
+            assert any(v.startswith(name + ":") for v in msgs), name
+        assert len(msgs) == 3
+
+    def test_counts_at_their_bounds_parse(self):
+        cfg = parse_config(MINIMAL, overrides={"time.picard_max_iters": "1",
+                                               "output.checkpoint_every": "0"})
+        assert (cfg.picard_max_iters, cfg.checkpoint_every) == (1, 0)
+
     def test_readme_config_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

@@ -1,7 +1,9 @@
 """Time integration: transport, field and collision substeps, the driver."""
 
 import math
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -264,10 +266,10 @@ class TestCollisionStep:
 
 
 class TestWorkers:
-    """The collision right-hand side splits the spatial nodes across
-    workers; results must not move.  On n_x = 4, three workers make two
-    blocks of two nodes (a block keeps two nodes or more); the landau tests
-    take uneven blocks."""
+    """The collision substep splits the spatial nodes across workers once,
+    and each block runs the whole integrator; results must not move.  On
+    n_x = 4, three workers make two blocks of two nodes (a block keeps two
+    nodes or more); on n_x = 8 they make blocks of 3, 3 and 2."""
 
     WORKERS = (2, 3)
 
@@ -319,6 +321,63 @@ class TestWorkers:
         for other in more:
             self.assert_identical(one, other)
 
+    @pytest.fixture
+    def uneven(self):
+        grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(8, 4.0))
+        st = make_initial_condition(grid, amplitude=1e-3, seed=7)
+        tables = landau.build_kernel_tables(-3.0, grid.velocity,
+                                            measure=False)
+        return st, tables
+
+    @staticmethod
+    def on_short_switch_interval(run):
+        # a 1 us switch interval interleaves the blocks' threads finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return run()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @SCHEMES
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_uneven_blocks(self, uneven, scheme, dt, linearized):
+        st, tables = uneven
+        one, three = (self.on_short_switch_interval(lambda: collision_step(
+            st, dt, TimeStepConfig(dt=dt, scheme=scheme,
+                                   linearized=linearized, workers=w),
+            tables)[0]) for w in (1, 3))
+        self.assert_identical(one, three)
+
+    def test_uneven_blocks_collision_field(self, uneven):
+        st, tables = uneven
+        corrector = landau.ConservativeCorrector(st.grid.velocity)
+        one, three = (self.on_short_switch_interval(
+            lambda: landau.apply_collision_field(
+                st, tables, corrector=corrector, workers=w))
+            for w in (1, 3))
+        assert all(np.array_equal(a, b) for a, b in zip(one, three))
+        assert one[0].shape == st.f_plus.shape
+
+    @SCHEMES
+    def test_one_fork_join_per_integration(self, state, scheme, dt,
+                                           monkeypatch):
+        # one pool per RK4 substep, one per Picard iteration
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(landau, "ThreadPoolExecutor", Counted)
+        tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
+                                            measure=False)
+        _, iterations, _ = collision_step(state, dt, TimeStepConfig(
+            dt=dt, scheme=scheme, workers=2), tables)
+        assert len(pools) == (iterations if scheme == "picard_implicit"
+                              else 1)
+
     def test_no_thread_outlives_advance(self):
         grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(8, 4.0))
         st = make_initial_condition(grid, amplitude=1e-3, seed=6)
@@ -327,6 +386,19 @@ class TestWorkers:
         before = threading.active_count()
         advance(st, 0.02, TimeStepConfig(dt=1e-2, workers=2), tables)
         assert threading.active_count() == before
+
+
+class TestTimeStepConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("dt", 0.0), ("picard_tol", 0.0), ("scheme", "euler"),
+        ("picard_max_iters", 0), ("workers", 0), ("workers", -1)])
+    def test_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TimeStepConfig(**{name: value})
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    def test_accepts_workers(self, workers):
+        assert TimeStepConfig(workers=workers).workers == workers
 
 
 class TestAdvance:

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/vplandau`` is used by its module,
 and none of them reaches scipy: numpy.fft is the one transform library.
 The collision operator uses none: its kernel tables and convolutions are
-real matrix products."""
+real matrix products.  One function, ``landau.split_nodes``, holds the
+thread pool."""
 
 import ast
 import subprocess
@@ -102,3 +103,44 @@ def test_scan_finds_fft_uses():
 def test_collision_operator_uses_no_fft():
     path = Path(vplandau.__file__).parent / "landau.py"
     assert fft_uses(path.read_text()) == []
+
+
+def pool_readers(source):
+    """Names of the functions that read ``ThreadPoolExecutor`` (the innermost
+    one around each read), and ``<module>`` for a read outside them."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "ThreadPoolExecutor"):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_pool_readers():
+    source = ("from concurrent import futures\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "POOL = ThreadPoolExecutor\n"
+              "def split(n):\n"
+              "    with ThreadPoolExecutor(n) as pool:\n"
+              "        return pool\n"
+              "class A:\n"
+              "    def run(self):\n"
+              "        return futures.ThreadPoolExecutor(2)\n"
+              "def other():\n"
+              "    return 'ThreadPoolExecutor'\n")
+    assert pool_readers(source) == ["<module>", "run", "split"]
+
+
+def test_one_function_holds_the_thread_pool():
+    readers = [(path.stem, name)
+               for path in MODULES + [Path(vplandau.__file__)]
+               for name in pool_readers(path.read_text())]
+    assert readers == [("landau", "split_nodes")]

@@ -473,54 +473,23 @@ class TestFrozenCollision:
             assert (np.linalg.norm(got - want)
                     <= 1e-13 * np.linalg.norm(want))
 
-
-    @pytest.fixture
-    def uneven(self, rng):
-        # seven nodes: 4 + 3 on two workers, 3 + 2 + 2 on three
-        ve = VelocityGrid(8, 6.0)
-        tables = build_kernel_tables(-3.0, ve, measure=False)
-        s, fp = rng.standard_normal((2, 7) + ve.shape)
-        return tables, s, fp, s - fp
-
-    @pytest.mark.parametrize("linearized", [False, True])
-    def test_workers_bit_identical(self, uneven, linearized):
-        # three blocks on a 1 us switch interval write disjoint nodes of
-        # the shared flux and output arrays
-        tables, s, fp, fm = uneven
-        corrector = ConservativeCorrector(tables.velocity_grid)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            one, *more = [landau.frozen_collision(
-                tables, s, linearized, corrector, workers=w)(fp, fm)
-                for w in (1, 2, 3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for other in more:
-            assert all(np.array_equal(a, b) for a, b in zip(one, other))
-
-    def test_velocity_only_is_one_block(self, uneven):
-        tables, s, fp, fm = uneven
-        corrector = ConservativeCorrector(tables.velocity_grid)
-        one, two = (landau.frozen_collision(
-            tables, s[0], corrector=corrector, workers=w)(fp[0], fm[0])
-            for w in (1, 2))
-        assert all(np.array_equal(a, b) for a, b in zip(one, two))
-        assert one[0].shape == s[0].shape
-
     def test_threads_take_no_more_memory(self, rng):
-        # every block buffer is the caller's share of one whole-field array
-        ve = VelocityGrid(16, 8.0)
+        # the blocks of apply_collision_field together allocate what the
+        # whole field does on one thread
+        grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
+        ve = grid.velocity
         tables = build_kernel_tables(-3.0, ve, measure=False)
-        s, fp = rng.standard_normal((2, 8) + ve.shape)
+        fp = rng.standard_normal(grid.shape)
+        state = SystemState(grid, fp, fp)
         corrector = ConservativeCorrector(ve)
         peaks = []
         for w in (1, 2):
-            landau.frozen_collision(tables, s, False, corrector, w)(fp, fp)
+            apply_collision_field(state, tables, corrector=corrector,
+                                  workers=w)
             tracemalloc.start()
             try:
-                landau.frozen_collision(tables, s, False, corrector,
-                                        w)(fp, fp)
+                apply_collision_field(state, tables, corrector=corrector,
+                                      workers=w)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
