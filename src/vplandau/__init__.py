@@ -4,10 +4,6 @@ from .grid import (
     PhaseGrid,
     SpatialGrid,
     VelocityGrid,
-    forward_transform,
-    inverse_transform,
-    quadrature_integral,
-    spectral_derivative,
     truncation_tolerance,
 )
 from .state import (
@@ -29,14 +25,11 @@ from .landau import (
 from .poisson import field_energy, solve_potential
 from .dynamics import TimeStepConfig, advance, collision_step, field_step, transport_step
 from .weights import (
-    WeightLadderConstants,
     WeightSpec,
     exp_weight_field,
     functional_D_k,
     functional_E_k,
     landau_D_norm,
-    norm_X_k,
-    norm_Y_k,
     weight_exponent,
     weight_field,
     weight_inequality_suite,

@@ -14,6 +14,7 @@ names cited by the validator:
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -42,7 +43,9 @@ def _boolean(text):
 
 
 _POSITIVE_INT = _rejecting(int, lambda n: n < 1, "positive integer required")
-_POSITIVE = _rejecting(float, lambda x: x <= 0, "must be positive")
+_POSITIVE = _rejecting(float, lambda x: not 0 < x < math.inf,
+                       "must be positive and finite")
+_FINITE = _rejecting(float, lambda x: not math.isfinite(x), "must be finite")
 _GRID_SIZE = _rejecting(int, lambda n: n < 4 or n & (n - 1) != 0,
                         "power of two >= 4 required")
 
@@ -54,19 +57,19 @@ _KEYS = {
                                        "must be 1, 2 or 3")),
              "n_x": ("16", _GRID_SIZE), "n_v": ("16", _GRID_SIZE),
              "cutoff": ("8.0", _POSITIVE)},
-    "time": {"dt": ("0.01", _POSITIVE), "t_final": ("1.0", float),
+    "time": {"dt": ("0.01", _POSITIVE), "t_final": ("1.0", _POSITIVE),
              "scheme": ("strang_rk4", ("strang_rk4", "picard_implicit")),
              "picard_tol": ("1e-10", _POSITIVE),
              "picard_max_iters": ("25", _POSITIVE_INT)},
     "initial": {
         "family": ("single_mode",
                    ("single_mode", "two_mode", "random_bandlimited")),
-        "amplitude": ("1e-3", float),
+        "amplitude": ("1e-3", _FINITE),
         "modes": ("1", lambda t: tuple(int(tok) for tok in
                                        t.replace(",", " ").split())),
         "profile": ("maxwellian", ("maxwellian", "vmu", "weighted_maxwellian",
                                    "hermite", "offdiag")),
-        "tail_power": ("4.0", float),
+        "tail_power": ("4.0", _FINITE),
         "species": ("opposite", ("opposite", "same")),
         "seed": ("1234", int)},
     "output": {"directory": ("out", str.strip),
@@ -74,11 +77,12 @@ _KEYS = {
                "summary": ("summary.json", str.strip),
                "checkpoint_every": ("0", _rejecting(
                    int, lambda n: n < 0, "must be >= 0 (0: no checkpoints)")),
-               "record_every": ("1", lambda t: max(1, int(t)))},
+               "record_every": ("1", _POSITIVE_INT)},
     "flags": {"conservative_correction": ("true", _boolean),
               "mode": ("nonlinear",
                        ("nonlinear", "linearized", "operator_test")),
-              "transient_fraction": ("0.1", float)},
+              "transient_fraction": ("0.1", _rejecting(
+                  float, lambda x: not 0 <= x < 1, "must lie in [0, 1)"))},
 }
 
 

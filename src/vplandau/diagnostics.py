@@ -112,18 +112,6 @@ def moment_balance_residual(state_prev, state_next, dt):
     return tuple(out)
 
 
-def entropy(state):
-    """``integral F log F`` of the full distribution, or nan if F <= 0 anywhere."""
-    mu = maxwellian(state.grid.velocity)
-    total = 0.0
-    for f in (state.f_plus, state.f_minus):
-        full = mu + f
-        if np.any(full <= 0):
-            return float("nan")
-        total += float(np.sum(full * np.log(full))) * state.grid.cell_volume
-    return total
-
-
 class Recorder:
     """Diagnostics sink for :func:`vplandau.dynamics.advance`.
 
@@ -135,7 +123,9 @@ class Recorder:
     def __init__(self, spec, reference_state, cadence=1, epsilon_op=0.0,
                  compute_d_k=True):
         self.spec = spec
-        self.cadence = max(1, int(cadence))
+        self.cadence = int(cadence)
+        if self.cadence < 1:
+            raise ValueError(f"cadence must be at least 1, got {cadence}")
         self.epsilon_op = epsilon_op
         self.compute_d_k = compute_d_k
         self.records = []

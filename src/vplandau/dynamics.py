@@ -46,10 +46,11 @@ class TimeStepConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be positive and finite, "
+                             f"got {self.picard_tol}")
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be at least 1")
         if self.workers is not None and self.workers < 1:

@@ -22,13 +22,13 @@ Conventions used throughout the package:
   so results do not depend on its thread count.
 * Phase-space arrays carry spatial axes first, velocity axes last:
   ``shape = (n_x,)*dim_x + (n_v, n_v, n_v)``.
-* Transform normalization is the ``norm="forward"`` DFT: the forward
-  transform divides by the number of points, so coefficients are discrete
-  Fourier-series coefficients (a constant field has a single coefficient at
-  frequency zero equal to its value).  Parseval then reads
-  ``integral |f|^2 = box_volume * sum |fhat|^2``, which is what the norm
-  helpers below implement; L2 norms computed in real space by quadrature and
-  in coefficient space agree exactly up to roundoff.
+* Transforms are ``numpy.fft`` calls, made where they are needed, with the
+  ``norm="forward"`` DFT: the forward transform divides by the number of
+  points, so coefficients are discrete Fourier-series coefficients (a
+  constant field has a single coefficient at frequency zero equal to its
+  value).  Parseval then reads ``integral |f|^2 = box_volume * sum |fhat|^2``:
+  the quadrature L2 norm below and the coefficient norm agree up to
+  roundoff.
 * Quadrature is the uniform-weight (trapezoid-equivalent on a periodic grid)
   sum: cell volume ``(length/n_x)^dim_x * (2L/n_v)^3``.
 """
@@ -140,7 +140,7 @@ class VelocityGrid:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Product of a spatial and a velocity grid plus transform helpers."""
+    """Product of a spatial and a velocity grid, with axis bookkeeping."""
 
     spatial: SpatialGrid = field(default_factory=SpatialGrid)
     velocity: VelocityGrid = field(default_factory=VelocityGrid)
@@ -167,59 +167,17 @@ class PhaseGrid:
     def cell_volume(self):
         return self.spatial.cell_volume * self.velocity.node_weight
 
-    def axis_index(self, name):
-        """Map an axis name ('x1'..'x3', 'v1'..'v3') to an array axis."""
-        if not isinstance(name, str) or len(name) != 2 or name[1] not in "123":
-            raise ValueError(f"unknown axis name {name!r}")
-        j = int(name[1]) - 1
-        if name[0] == "x":
-            if j >= self.dim_x:
-                raise ValueError(f"axis {name!r} outside dim_x={self.dim_x}")
-            return j
-        if name[0] == "v":
-            return self.dim_x + j
-        raise ValueError(f"unknown axis name {name!r}")
-
     def axis_grid(self, axis):
         """The spatial or velocity grid that a flat array axis samples."""
         return self.spatial if axis < self.dim_x else self.velocity
 
     def check_shape(self, values, domain="xv"):
-        expected = {
-            "xv": self.shape,
-            "v": self.velocity.shape,
-            "x": self.spatial.shape,
-        }[domain]
+        expected = {"xv": self.shape, "x": self.spatial.shape}[domain]
         if np.shape(values) != expected:
             raise GridMismatchError(
                 f"array shape {np.shape(values)} does not match grid shape "
                 f"{expected} (domain {domain!r})"
             )
-
-
-# ---- transforms ----------------------------------------------------------
-
-
-def _axes_tuple(grid, axes):
-    if axes == "xv":
-        return grid.x_axes + grid.v_axes
-    if axes == "x":
-        return grid.x_axes
-    if axes == "v":
-        return grid.v_axes
-    return tuple(axes)
-
-
-def forward_transform(grid, values, axes="xv"):
-    """Forward DFT (norm='forward') over the requested axes of a phase field."""
-    grid.check_shape(values, "xv")
-    return np.fft.fftn(values, axes=_axes_tuple(grid, axes), norm="forward")
-
-
-def inverse_transform(grid, coeffs, axes="xv", real=True):
-    """Inverse of :func:`forward_transform`; returns the real part by default."""
-    out = np.fft.ifftn(coeffs, axes=_axes_tuple(grid, axes), norm="forward")
-    return out.real if real else out
 
 
 def along(k, axis, ndim):
@@ -293,30 +251,10 @@ def axis_derivative(axis_grid, values, axis, order=1, out=None):
                      else out.reshape(rows)).reshape(shape)
 
 
-def spectral_derivative(grid, values, axis, order=1):
-    """Spectral derivative along one axis of a phase-space field.
-
-    ``axis`` may be an axis name ('x1', 'v2', ...) or a flat array axis.
-    """
-    if isinstance(axis, str):
-        axis = grid.axis_index(axis)
-    grid.check_shape(values, "xv")
-    return axis_derivative(grid.axis_grid(axis), values, axis, order)
-
-
-def quadrature_integral(grid, values, domain="xv"):
-    """Uniform-weight integral over ``'v'`` (returns an x-field) or ``'xv'``."""
-    grid.check_shape(values, "xv")
-    if domain == "v":
-        return values.sum(axis=grid.v_axes) * grid.velocity.node_weight
-    if domain == "xv":
-        return float(values.sum()) * grid.cell_volume
-    raise ValueError(f"unknown domain {domain!r}")
-
-
 def integrate_v(grid, values):
     """Velocity integral of a phase field; returns the spatial field."""
-    return quadrature_integral(grid, values, "v")
+    grid.check_shape(values, "xv")
+    return values.sum(axis=grid.v_axes) * grid.velocity.node_weight
 
 
 def integrate_x(grid, values_x):

@@ -23,6 +23,8 @@ from .grid import integrate_v, integrate_x
 from .state import SystemState, conserved_moments, kernel_fields, maxwellian
 from .weights import bracket
 
+MAX_HALVINGS = 10
+
 
 def _velocity_profile(grid, profile, tail_power):
     ve = grid.velocity
@@ -110,8 +112,7 @@ def make_initial_condition(grid, **options):
 
 def initial_condition_and_halvings(grid, family="single_mode", amplitude=1e-3,
                                    modes=(1,), profile="maxwellian",
-                                   tail_power=4.0, species="opposite", seed=0,
-                                   max_halvings=10):
+                                   tail_power=4.0, species="opposite", seed=0):
     """The initial state and how often its amplitude was halved.
 
     The effective amplitude is ``amplitude / 2**halvings``.
@@ -121,11 +122,13 @@ def initial_condition_and_halvings(grid, family="single_mode", amplitude=1e-3,
     rng = np.random.default_rng(seed)
     pattern = _spatial_pattern(grid, family, modes, rng)
     prof = _velocity_profile(grid, profile, tail_power)
+    if species not in ("opposite", "same"):
+        raise InitialConditionError(f"unknown species layout {species!r}")
     sign_minus = -1.0 if species == "opposite" else 1.0
     mu = maxwellian(grid.velocity)
     xpad = (...,) + (None, None, None)
     amp = float(amplitude)
-    for attempt in range(max_halvings + 1):
+    for attempt in range(MAX_HALVINGS + 1):
         f_plus = amp * pattern[xpad] * prof
         f_minus = sign_minus * amp * pattern[xpad] * prof
         state = project_conservation(grid, f_plus, f_minus)
@@ -133,11 +136,11 @@ def initial_condition_and_halvings(grid, family="single_mode", amplitude=1e-3,
                        float(np.min(mu + state.f_minus)))
         if min_full > 0.0:
             return state, attempt
-        if attempt < max_halvings:
+        if attempt < MAX_HALVINGS:
             warnings.warn(
                 f"initial data violates positivity (min mu+f = {min_full:.3e});"
                 f" halving amplitude to {amp / 2:g}", RuntimeWarning,
                 stacklevel=2)
             amp *= 0.5
     raise InitialConditionError(
-        f"positivity could not be restored within {max_halvings} halvings")
+        f"positivity could not be restored within {MAX_HALVINGS} halvings")

@@ -16,27 +16,23 @@ import math
 import numpy as np
 
 from .errors import UnsupportedOrderError
-from .grid import PhaseGrid, SpatialGrid, VelocityGrid, l2_norm
+from .grid import (PhaseGrid, SpatialGrid, VelocityGrid, axis_derivative,
+                   l2_norm)
 
 # integral |v|^(2n) mu dv for n = 0..3; the recursion multiplies by (2n+1).
 GAUSSIAN_EVEN_MOMENTS = (1.0, 3.0, 15.0, 105.0)
 
 
-def gaussian_even_moment(n):
-    """Exact value of ``integral |v|^(2n) mu(v) dv`` for n in 0..3."""
-    return GAUSSIAN_EVEN_MOMENTS[n]
-
-
-def random_bandlimited_v(rng, velocity_grid, kmax=3, n_modes=30):
+def random_bandlimited_v(rng, velocity_grid):
     """Random real trigonometric polynomial on the velocity box, peak 1.
 
-    ``n_modes`` complex coefficients at wavenumbers ``|m_j| <= kmax`` drawn
-    from ``rng``; the shared random input of the operator checks.
+    30 complex coefficients at wavenumbers ``|m_j| <= 3`` drawn from
+    ``rng``; the shared random input of the operator checks.
     """
     n = velocity_grid.n_v
     c = np.zeros((n, n, n), dtype=complex)
-    for _ in range(n_modes):
-        m = rng.integers(-kmax, kmax + 1, size=3)
+    for _ in range(30):
+        m = rng.integers(-3, 4, size=3)
         c[m[0] % n, m[1] % n, m[2] % n] += (rng.standard_normal()
                                             + 1j * rng.standard_normal())
     f = np.fft.ifftn(c).real
@@ -99,19 +95,14 @@ def highres_norm(fn, grid, weight_fn, alpha_order, beta_orders, factor=2):
     ``beta_orders`` per-velocity-axis orders; derivatives are spectral on the
     refined grid, which is an independent resolution from the fast path.
     """
-    from .grid import spectral_derivative
-
     fine = refined_phase_grid(grid, factor)
     xs = [fine.spatial.coordinate(j) for j in range(fine.dim_x)]
     vs = [fine.velocity.coordinate(j) for j in range(3)]
     # broadcast spatial (x-shape) and velocity (v-shape) blocks to phase shape
     xs_b = [x.reshape(x.shape + (1, 1, 1)) for x in xs]
     values = np.broadcast_to(fn(xs_b, *vs), fine.shape).astype(float).copy()
-    for j, o in enumerate(alpha_order):
+    for axis, o in enumerate(tuple(alpha_order) + tuple(beta_orders)):
         for _ in range(o):
-            values = spectral_derivative(fine, values, j, 1)
-    for j, o in enumerate(beta_orders):
-        for _ in range(o):
-            values = spectral_derivative(fine, values, fine.dim_x + j, 1)
+            values = axis_derivative(fine.axis_grid(axis), values, axis)
     w = weight_fn(*vs)
     return l2_norm(fine, values * w, "xv")

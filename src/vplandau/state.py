@@ -23,7 +23,6 @@ from .grid import (
     VelocityGrid,
     integrate_v,
     integrate_x,
-    l2_norm,
 )
 
 _CHECKPOINT_FORMAT = 1
@@ -95,9 +94,6 @@ class SystemState:
         z = np.zeros(grid.shape)
         return cls(grid, z, z.copy(), time)
 
-    def charge_density(self):
-        return integrate_v(self.grid, self.f_plus - self.f_minus)
-
     def clone(self):
         return SystemState(self.grid, self.f_plus.copy(), self.f_minus.copy(),
                            self.time)
@@ -105,12 +101,6 @@ class SystemState:
     def with_fields(self, f_plus, f_minus, time=None):
         return SystemState(self.grid, f_plus, f_minus,
                            self.time if time is None else time)
-
-    def consistency_residual(self):
-        """Relative residual of ``-laplace(phi) = integral (f+ - f-) dv``."""
-        rho = self.charge_density()
-        scale = max(l2_norm(self.grid, rho, "x"), 1e-300)
-        return poisson.residual(self.grid.spatial, self.phi, rho) / scale
 
 
 # ---- moments and projections ----------------------------------------------

@@ -83,8 +83,8 @@ class WeightSpec:
                 if gamma + 2.0 * s <= -1.0:
                     out.append(
                         f"gamma+2s: must exceed -1, got {gamma + 2.0 * s}")
-        if k < 0:
-            out.append(f"k range: k must be nonnegative, got {k}")
+        if not 0.0 <= k < np.inf:
+            out.append(f"k range: k must be finite and nonnegative, got {k}")
         return out
 
     @property
@@ -140,29 +140,15 @@ def exp_weight_field(spec, grid, a_order, b_order, phi, sign=+1):
     return np.exp(sign * a_const * np.asarray(phi)[xpad] / br2)
 
 
-@dataclass(frozen=True)
-class WeightLadderConstants:
-    """Ladder constants ``C[a][b] = R^(2a+b)`` ordering the derivative shells.
+# ladder ratio R: the constants ``C[a][b] = R^(2a+b)`` order the derivative
+# shells, ``C_{a,b} / C_{a,b1} >= R`` for b1 < b and
+# ``C_{a+1,b-1} / C_{a,b} = R``; the analysis only demands R large enough
+LADDER_RATIO = 100.0
 
-    Satisfies both order relations: C_{a,b} / C_{a,b1} >= R for b1 < b, and
-    C_{a+1,b-1} / C_{a,b} = R.  R is configurable; the analysis only demands
-    "sufficiently large".
-    """
 
-    ratio: float = 100.0
-
-    def value(self, a_order, b_order):
-        return self.ratio ** (2 * a_order + b_order)
-
-    def check_order_relations(self):
-        ok = True
-        for a in range(WEIGHT_MAX_ORDER + 1):
-            for b in range(WEIGHT_MAX_ORDER + 1 - a):
-                for b1 in range(b):
-                    ok &= self.value(a, b) >= self.ratio * self.value(a, b1)
-                if b >= 1:
-                    ok &= self.value(a + 1, b - 1) >= self.ratio * self.value(a, b)
-        return ok
+def ladder_constant(a_order, b_order):
+    """``C[a][b] = R^(2a+b)``, the ladder constant of the ``(a, b)`` shell."""
+    return LADDER_RATIO ** (2 * a_order + b_order)
 
 
 # ---- pointwise inequality suite ---------------------------------------------
@@ -365,7 +351,7 @@ def _weight_fields(velocity_grid, spec):
     return MappingProxyType(out)
 
 
-def _weighted_sums(state, spec, phi, with_y):
+def _weighted_sums(state, spec, with_y):
     """``(X_k, Y_k)`` from one walk of the index pairs per species.
 
     Each species is transformed once; every ``(alpha, beta)`` derivative
@@ -376,16 +362,16 @@ def _weighted_sums(state, spec, phi, with_y):
     if with_y and spec.model != "landau":
         raise ParameterError(
             "Y_k dissipation norm is implemented for the Landau model only")
-    ladder = WeightLadderConstants()
     wfs = _weight_fields(g.velocity, spec)
     indices = mixed_indices(g.dim_x)
     wx = g.spatial.cell_volume
     x_total = y_total = 0.0
     for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
         # ladder constant times the squared weight of each X_k term
-        x_weights = {ab: ladder.value(*ab)
-                     * (exp_weight_field(spec, g, *ab, phi, sign) * wf) ** 2
-                     for ab, wf in wfs.items()}
+        x_weights = {
+            ab: ladder_constant(*ab)
+            * (exp_weight_field(spec, g, *ab, state.phi, sign) * wf) ** 2
+            for ab, wf in wfs.items()}
         for (al, be), der in mixed_derivatives(g, f, indices).items():
             ab = (sum(al), sum(be))
             d = der.ravel()
@@ -395,21 +381,6 @@ def _weighted_sums(state, spec, phi, with_y):
                 d_norm = landau_D_norm(wfs[ab] * der, g.velocity, spec.gamma)
                 y_total += float(np.sum(d_norm**2)) * wx
     return x_total, y_total
-
-
-def norm_X_k(state, spec, phi_override=None):
-    """Weighted energy functional X_k (a sum of squared weighted norms)."""
-    phi = state.phi if phi_override is None else phi_override
-    return _weighted_sums(state, spec, phi, False)[0]
-
-
-def norm_Y_k(state, spec):
-    """Weighted dissipation functional Y_k (Landau model).
-
-    For the Boltzmann model the dissipation norm ``H^s_{k+gamma/2}`` has no
-    dynamical role here, and ``Y_k`` is refused.
-    """
-    return _weighted_sums(state, spec, state.phi, True)[1]
 
 
 def h3_grad_norm_sq(spatial, phi):
@@ -440,7 +411,7 @@ def energy_dissipation(state, spec, with_d_k=True):
     ``D_k`` is 0.0 unless ``with_d_k``.
     """
     h3 = h3_grad_norm_sq(state.grid.spatial, state.phi)
-    x_k, y_k = _weighted_sums(state, spec, state.phi, with_d_k)
+    x_k, y_k = _weighted_sums(state, spec, with_d_k)
     return x_k + h3, (y_k + h3 if with_d_k else 0.0), h3
 
 

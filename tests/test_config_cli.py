@@ -162,6 +162,43 @@ x = 1
             assert any(v.startswith(name + ":") for v in msgs), name
         assert len(msgs) == 3
 
+    def test_non_finite_and_out_of_range_values_are_violations(self):
+        bad = {"time.dt": "inf", "time.t_final": "nan", "grid.cutoff": "nan",
+               "time.picard_tol": "inf", "output.record_every": "0",
+               "flags.transient_fraction": "1", "initial.amplitude": "nan",
+               "initial.tail_power": "-inf"}
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides={**bad, "model.k": "nan"})
+        msgs = err.value.violations
+        for name in bad:
+            assert any(v.startswith(name + ":") for v in msgs), name
+        assert any(v.startswith("k range:") for v in msgs)
+        assert len(msgs) == len(bad) + 1
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("time.dt", "nan"), ("time.t_final", "-1"), ("time.t_final", "0"),
+        ("time.t_final", "inf"), ("output.record_every", "-3"),
+        ("flags.transient_fraction", "-0.1"),
+        ("flags.transient_fraction", "nan"), ("initial.amplitude", "inf")])
+    def test_bad_value_is_a_violation(self, dotted, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides={dotted: value})
+        assert [v for v in err.value.violations
+                if v.startswith(dotted + ":")], err.value.violations
+
+    @pytest.mark.parametrize("k", ["inf", "-inf"])
+    def test_non_finite_k_is_a_violation(self, k):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides={"model.k": k})
+        assert any(v.startswith("k range:") for v in err.value.violations)
+
+    def test_values_at_their_bounds_parse(self):
+        cfg = parse_config(MINIMAL, overrides={
+            "flags.transient_fraction": "0", "initial.amplitude": "-1e-3",
+            "output.record_every": "1", "time.t_final": "1e-3"})
+        assert (cfg.transient_fraction, cfg.amplitude, cfg.record_every,
+                cfg.t_final) == (0.0, -1e-3, 1, 1e-3)
+
     def test_counts_at_their_bounds_parse(self):
         cfg = parse_config(MINIMAL, overrides={"time.picard_max_iters": "1",
                                                "output.checkpoint_every": "0"})
@@ -238,8 +275,12 @@ class TestInitialConditions:
 
     def test_positivity_rescue_gives_up(self, small_grid):
         with pytest.raises(InitialConditionError), pytest.warns(RuntimeWarning):
-            make_initial_condition(small_grid, amplitude=1e9, seed=1,
-                                   max_halvings=3)
+            make_initial_condition(small_grid, amplitude=1e9, seed=1)
+
+    def test_unknown_species_layout_refused(self, small_grid):
+        with pytest.raises(InitialConditionError, match="oposite"):
+            make_initial_condition(small_grid, amplitude=1e-3,
+                                   species="oposite")
 
     def test_two_mode_family(self, small_grid):
         st = make_initial_condition(small_grid, family="two_mode",

@@ -10,7 +10,6 @@ from vplandau import landau, weights
 from vplandau.diagnostics import (
     CSV_COLUMNS,
     Recorder,
-    entropy,
     fit_decay,
     moment_balance_residual,
     positivity_monitor,
@@ -129,11 +128,6 @@ class TestPositivity:
         mon = positivity_monitor(st)
         assert mon["plus"][0] < 0
 
-    def test_entropy_positive_state(self, small_grid):
-        st = make_initial_condition(small_grid, amplitude=1e-4, seed=3)
-        s = entropy(st)
-        assert np.isfinite(s)
-
 
 class TestProjectionSplit:
     def test_near_orthogonality_weighted(self, clean_grid, rng):
@@ -180,6 +174,13 @@ class TestRecorder:
         assert np.array_equal(data["time"], times)
         assert np.array_equal(data["e_k"], rec.series("e_k"))
         assert np.array_equal(data["mass_plus"], rec.series("mass_plus"))
+
+    @pytest.mark.parametrize("cadence", [0, -2])
+    def test_cadence_below_one_refused(self, small_grid, cadence):
+        spec = weights.WeightSpec("landau", -3.0, 10.0)
+        st = SystemState.zero(small_grid)
+        with pytest.raises(ValueError, match="cadence"):
+            Recorder(spec, st, cadence=cadence, compute_d_k=False)
 
     def test_same_time_record_has_zero_balance(self, small_grid):
         spec = weights.WeightSpec("landau", -3.0, 10.0)

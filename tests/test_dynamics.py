@@ -13,6 +13,7 @@ from vplandau.dynamics import (
     TimeStepConfig,
     _field_rhs,
     _field_source,
+    _linearized_field_step,
     _rk4_pair,
     advance,
     collision_step,
@@ -67,6 +68,16 @@ class TestTransport:
         st = SystemState(small_grid, f, f.copy())
         out = transport_step(st, 0.5)
         assert np.array_equal(out.f_plus, st.f_plus)
+
+    def test_non_finite_names_transport_substep(self, small_grid):
+        f = np.zeros(small_grid.shape)
+        f[0, 8, 8, 8] = np.inf
+        with np.errstate(all="ignore"):
+            st = SystemState(small_grid, f, np.zeros(small_grid.shape),
+                             time=0.25)
+            with pytest.raises(FloatingPointError,
+                               match=r"transport step .* at t=0\.25"):
+                transport_step(st, 0.1)
 
     def test_halves_compose_exactly(self, small_grid):
         st = single_mode_state(small_grid)
@@ -153,6 +164,16 @@ class TestFieldStep:
         huge = (1e308 * np.ones(small_grid.spatial.shape),)
         with pytest.raises(FloatingPointError):
             field_step(st, 1.0, grad_phi=huge)
+
+    def test_non_finite_names_linearized_field_substep(self, small_grid):
+        f = np.zeros(small_grid.shape)
+        f[0, 8, 8, 8] = np.inf
+        with np.errstate(all="ignore"):
+            st = SystemState(small_grid, f, np.zeros(small_grid.shape),
+                             time=0.25)
+            with pytest.raises(FloatingPointError,
+                               match=r"field step .* at t=0\.25"):
+                _linearized_field_step(st, 0.1)
 
     @pytest.mark.parametrize("dim_x", [1, 2, 3])
     def test_matches_converged_rk4(self, dim_x):
@@ -391,6 +412,8 @@ class TestWorkers:
 class TestTimeStepConfig:
     @pytest.mark.parametrize("name, value", [
         ("dt", 0.0), ("picard_tol", 0.0), ("scheme", "euler"),
+        ("dt", math.nan), ("dt", math.inf), ("picard_tol", math.nan),
+        ("picard_tol", math.inf),
         ("picard_max_iters", 0), ("workers", 0), ("workers", -1)])
     def test_rejects(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -144,3 +144,96 @@ def test_one_function_holds_the_thread_pool():
                for path in MODULES + [Path(vplandau.__file__)]
                for name in pool_readers(path.read_text())]
     assert readers == [("landau", "split_nodes")]
+
+
+def definitions(source):
+    """Public top-level functions and classes, and the public methods of
+    public classes, as ``name`` or ``Class.method``."""
+    out = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not node.name.startswith("_")):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        and not m.name.startswith("_")]
+    return out
+
+
+def reads(source, strings=False):
+    """Names read as an AST ``Name`` or ``Attribute`` (with ``strings``, also
+    as a string constant), except inside a definition of the same name."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant):
+            name = node.value if isinstance(node.value, str) else None
+        else:
+            name = None
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unread(defined, read):
+    """The definitions whose (last) name is not in ``read``."""
+    return sorted(q for q in defined if q.rpartition(".")[2] not in read)
+
+
+# Definitions that no program path reads, each kept for its reason.
+KEEP_UNREAD = {
+    "grid.truncation_tolerance": "error budget of the tests' Gaussian "
+                                 "moments",
+    "grid.resolution_tolerance": "error budget of the tests' pointwise "
+                                 "derivatives; ROADMAP item 7 gives it a "
+                                 "caller",
+    "landau.LandauKernelTables.sampled_kernels": "test reference: the "
+                                                 "kernels sampled directly",
+    "oracle.fd_derivative": "test reference: finite differences",
+    "oracle.highres_norm": "test reference: norms on a refined grid",
+}
+
+
+def test_scan_finds_an_unread_definition():
+    source = ("def used():\n    return 1\n"
+              "def unused():\n    return unused()\n"
+              "def _private():\n    return used()\n"
+              "class Box:\n    def read(self):\n        return 1\n"
+              "    def named(self):\n        return 2\n"
+              "    def _hidden(self):\n        return 3\n")
+    defined = definitions(source)
+    assert defined == ["used", "unused", "Box", "Box.read", "Box.named"]
+    read = reads(source) | reads("b.read()\nc = 'named'\nBox\n", strings=True)
+    assert unread(defined, read) == ["unused"]
+    assert unread(defined, reads(source)) == ["Box", "Box.named",
+                                              "Box.read", "unused"]
+
+
+def test_every_public_definition_is_read():
+    # reads in src/vplandau count without its re-exports in __init__.py;
+    # the benchmark, the acceptance criteria and the entry point also
+    # name what they read as strings (bench/spans.py's WRAPPED)
+    root = Path(__file__).resolve().parents[1]
+    defined = [f"{path.stem}.{name}" for path in MODULES
+               for name in definitions(path.read_text())]
+    read = set().union(*(reads(path.read_text()) for path in MODULES))
+    outside = [*sorted((root / "bench").glob("*.py")),
+               root / "tests" / "test_acceptance.py",
+               Path(vplandau.__file__).parent / "__main__.py"]
+    for path in outside:
+        read |= reads(path.read_text(), strings=True)
+    assert unread(defined, read) == sorted(KEEP_UNREAD)

@@ -1,11 +1,13 @@
 """Two-species state: Maxwellian, moments, projections, conservation, checkpoints."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from vplandau import poisson
 from vplandau.grid import (
     PhaseGrid,
     SpatialGrid,
@@ -213,7 +215,9 @@ class TestStateInvariants:
         x = desk_grid.spatial.coordinate(0)[:, None, None, None]
         f = 1e-3 * np.cos(x) * mu
         st = SystemState(desk_grid, f, -f)
-        assert st.consistency_residual() <= 1e-11
+        rho = integrate_v(desk_grid, st.f_plus - st.f_minus)
+        res = poisson.residual(desk_grid.spatial, st.phi, rho)
+        assert res <= 1e-11 * l2_norm(desk_grid, rho, "x")
         assert abs(float(np.mean(st.phi))) < 1e-15
 
     def test_clone_independent(self, desk_grid, rng):
@@ -255,7 +259,8 @@ class TestConservation:
         messages = [str(w.message) for w in caught]
         assert not [m for m in messages if "charge density" in m]
         assert any("halving amplitude" in m for m in messages)
-        assert np.max(np.abs(st.charge_density())) <= 1e-17
+        rho = integrate_v(grid, st.f_plus - st.f_minus)
+        assert np.max(np.abs(rho)) <= 1e-17
 
 
 class TestCheckpoint:
@@ -272,3 +277,16 @@ class TestCheckpoint:
         assert back.grid.shape == st.grid.shape
         with np.load(path) as data:
             assert set(data.files) == {"header", "time", "f_plus", "f_minus"}
+
+    def test_unknown_format_refused(self, desk_grid, tmp_path):
+        path = tmp_path / "chk.npz"
+        save_checkpoint(path, SystemState.zero(desk_grid))
+        with np.load(path) as data:
+            payload = dict(data)
+        header = json.loads(bytes(payload["header"]).decode())
+        header["format"] = 99
+        payload["header"] = np.frombuffer(json.dumps(header).encode(),
+                                          dtype=np.uint8)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="unknown checkpoint format 99"):
+            load_checkpoint(path)

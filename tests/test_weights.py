@@ -32,7 +32,7 @@ from vplandau.state import (
     projection_upper_constant,
 )
 from vplandau.weights import (
-    WeightLadderConstants,
+    LADDER_RATIO,
     WeightSpec,
     anisotropic_gradient,
     bracket,
@@ -41,12 +41,11 @@ from vplandau.weights import (
     functional_D_k,
     functional_E_k,
     h3_grad_norm_sq,
+    ladder_constant,
     landau_D_norm,
     mixed_derivatives,
     mixed_indices,
     norm_L2k,
-    norm_X_k,
-    norm_Y_k,
     weight_A,
     weight_exponent,
     weight_field,
@@ -128,11 +127,22 @@ class TestInequalitySuite:
         failing = {r.name for r in floor if not r.passed}
         assert "floor[0,2]" in failing
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
+    def test_k_must_be_finite_and_nonnegative(self, k):
+        with pytest.raises(ParameterError, match="k range"):
+            WeightSpec("landau", -3.0, k)
+
     def test_ladder_order_relations(self):
-        ladder = WeightLadderConstants(ratio=100.0)
-        assert ladder.check_order_relations()
-        assert ladder.value(1, 1) / ladder.value(1, 0) >= 100.0
-        assert ladder.value(2, 0) / ladder.value(1, 1) >= 100.0
+        assert LADDER_RATIO == 100.0
+        c = ladder_constant
+        for a in range(3):
+            for b in range(3 - a):
+                for b1 in range(b):
+                    assert c(a, b) >= LADDER_RATIO * c(a, b1)
+                if b >= 1:
+                    assert c(a + 1, b - 1) == LADDER_RATIO * c(a, b)
+        assert c(1, 1) / c(1, 0) >= 100.0
+        assert c(2, 0) / c(1, 1) >= 100.0
 
 
 class TestExpWeight:
@@ -236,7 +246,6 @@ class TestFunctionals:
     def test_zero_state(self, small_grid):
         spec = WeightSpec("landau", -3.0, 10.0)
         st = SystemState.zero(small_grid)
-        assert norm_X_k(st, spec) == 0.0
         assert functional_E_k(st, spec) == 0.0
         assert functional_D_k(st, spec) == 0.0
 
@@ -267,12 +276,16 @@ class TestFunctionals:
         assert val == pytest.approx(ref4, rel=2e-3)
 
     def test_x_k_quadratic_scaling(self, small_grid):
+        # charge-free data (f+ = f-): phi = 0, so E_k is X_k alone, with
+        # the same unit exponential weight at both amplitudes
         spec = WeightSpec("landau", -3.0, 10.0)
-        st = self._state(small_grid)
-        st2 = small_grid and st.with_fields(2 * st.f_plus, 2 * st.f_minus)
-        phi = st.phi
-        a = norm_X_k(st, spec, phi_override=phi)
-        b = norm_X_k(st2, spec, phi_override=phi)
+        f = self._state(small_grid).f_plus
+        st = SystemState(small_grid, f, f)
+        st2 = st.with_fields(2 * f, 2 * f)
+        assert np.max(np.abs(st.phi)) == 0.0 == np.max(np.abs(st2.phi))
+        a, _, h3 = energy_dissipation(st, spec, with_d_k=False)
+        b, _, h3_2 = energy_dissipation(st2, spec, with_d_k=False)
+        assert h3 == 0.0 == h3_2
         assert b == pytest.approx(4.0 * a, rel=1e-12)
 
     def test_h3_grad_norm_closed_form(self):
@@ -292,12 +305,10 @@ class TestFunctionals:
     def test_monotone_under_shell_truncation(self, small_grid):
         spec = WeightSpec("landau", -3.0, 10.0)
         st = self._state(small_grid)
-        full = norm_X_k(st, spec)
+        e_k, _, h3 = energy_dissipation(st, spec, with_d_k=False)
         indices1 = [ab for ab in mixed_indices(small_grid.dim_x)
                     if sum(ab[0]) + sum(ab[1]) <= 1]
         # recompute with the order-2 shell dropped
-        from vplandau.weights import mixed_derivatives, WeightLadderConstants
-        ladder = WeightLadderConstants()
         partial = 0.0
         br2 = 1.0 + small_grid.velocity.speed_squared()
         for sign, f in ((+1, st.f_plus), (-1, st.f_minus)):
@@ -307,17 +318,17 @@ class TestFunctionals:
                 wf = weight_field(spec, small_grid.velocity, a, b)
                 ew = np.exp(sign * weight_A(spec, a, b)
                             * st.phi[(...,) + (None,) * 3] / br2)
-                partial += ladder.value(a, b) * l2_norm(
+                partial += ladder_constant(a, b) * l2_norm(
                     small_grid, ew * wf * der) ** 2
-        assert partial <= full
+        assert partial + h3 <= e_k
 
     def test_y_k_zero_and_boltzmann_guard(self, small_grid):
         spec = WeightSpec("landau", -3.0, 10.0)
         st = SystemState.zero(small_grid)
-        assert norm_Y_k(st, spec) == 0.0
+        assert functional_D_k(st, spec) == 0.0
         bspec = WeightSpec("boltzmann", -1.0, 17.0, s=0.75)
         with pytest.raises(ParameterError):
-            norm_Y_k(st, bspec)
+            functional_D_k(st, bspec)
 
 
 class TestNormEquivalence:
@@ -372,7 +383,6 @@ def _oracle_functionals(state, spec):
     """``(E_k, D_k)`` pair by pair: complex transforms, the vector
     anisotropic gradient and fresh weight fields for every pair."""
     g = state.grid
-    ladder = WeightLadderConstants()
     x_k = y_k = 0.0
     for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
         for al, be in mixed_indices(g.dim_x):
@@ -380,7 +390,7 @@ def _oracle_functionals(state, spec):
             a, b = sum(al), sum(be)
             wf = weight_field(spec, g.velocity, a, b)
             ew = exp_weight_field(spec, g, a, b, state.phi, sign)
-            x_k += ladder.value(a, b) * l2_norm(g, ew * wf * der) ** 2
+            x_k += ladder_constant(a, b) * l2_norm(g, ew * wf * der) ** 2
             d_norm = _oracle_D_norm(wf * der, g.velocity, spec.gamma)
             y_k += float(np.sum(d_norm**2)) * g.spatial.cell_volume
     h3 = h3_grad_norm_sq(g.spatial, state.phi)
