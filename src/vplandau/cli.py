@@ -52,13 +52,19 @@ def _cmd_run(args, forced_mode=None):
 
 def _cmd_fit(args):
     data = diagnostics.read_series_csv(args.csv)
-    times = data["time"]
-    values = data[args.column]
+    if args.column not in data:
+        raise ValueError(f"{args.csv} has no column {args.column!r}; "
+                         f"its columns: {', '.join(data)}")
     window = None
     if args.window:
-        lo, hi = (float(tok) for tok in args.window.split(","))
+        try:
+            lo, hi = (float(tok) for tok in args.window.split(","))
+        except ValueError:
+            raise ValueError("--window takes T0,T1, two numbers, got "
+                             f"{args.window!r}") from None
         window = (lo, hi)
-    fit = diagnostics.fit_decay(times, values, args.mode, window=window)
+    fit = diagnostics.fit_decay(data["time"], data[args.column], args.mode,
+                                window=window)
     json.dump(asdict(fit), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -48,6 +48,7 @@ _POSITIVE = _rejecting(float, lambda x: not 0 < x < math.inf,
 _FINITE = _rejecting(float, lambda x: not math.isfinite(x), "must be finite")
 _GRID_SIZE = _rejecting(int, lambda n: n < 4 or n & (n - 1) != 0,
                         "power of two >= 4 required")
+_NON_NEGATIVE_INT = _rejecting(int, lambda n: n < 0, "must be >= 0")
 
 _KEYS = {
     "model": {"model": ("landau", MODELS), "gamma": ("-3.0", float),
@@ -71,12 +72,11 @@ _KEYS = {
                                    "hermite", "offdiag")),
         "tail_power": ("4.0", _FINITE),
         "species": ("opposite", ("opposite", "same")),
-        "seed": ("1234", int)},
+        "seed": ("1234", _NON_NEGATIVE_INT)},
     "output": {"directory": ("out", str.strip),
                "csv": ("series.csv", str.strip),
                "summary": ("summary.json", str.strip),
-               "checkpoint_every": ("0", _rejecting(
-                   int, lambda n: n < 0, "must be >= 0 (0: no checkpoints)")),
+               "checkpoint_every": ("0", _NON_NEGATIVE_INT),
                "record_every": ("1", _POSITIVE_INT)},
     "flags": {"conservative_correction": ("true", _boolean),
               "mode": ("nonlinear",
@@ -199,6 +199,10 @@ def parse_config(text, overrides=None):
     if model is not None and k is not None and k < K0[model]:
         violations.append(
             f"k below k0={K0[model]:g} for {model.capitalize()}: got {k}")
+    if values.get("mode") == "linearized" and values.get("checkpoint_every"):
+        violations.append("output.checkpoint_every: the linearized mode "
+                          "writes no checkpoints; 0 required, got "
+                          f"{values['checkpoint_every']}")
 
     env = os.environ.get("VPLANDAU_THREADS", "").strip()
     try:

@@ -12,9 +12,13 @@ Three modes share the RunConfig surface:
   fits and conservation drifts.
 * ``linearized``: the linearized large-time decay experiment.
 
-Artifacts: a CSV time series, a JSON summary (schema version below), and
-optional checkpoints.  Exit status doubles as the pass/fail signal of each
-mode's built-in assertions.
+Each mode returns ``(body, passed)``.  :func:`run_experiment` is the one
+pipeline around them: it makes the output directory, picks the mode from
+``MODES``, adds ``schema_version``, ``mode``, ``config`` and ``passed`` to
+the body and writes the JSON summary.  The evolution modes share their
+set-up (:func:`_set_up`) and write a CSV time series; ``nonlinear`` also
+writes the optional checkpoints.  Exit status doubles as the pass/fail
+signal of each mode's built-in assertions.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ LINEARIZED_DRIFT_TOL = 1e-9
 
 
 def operator_test(cfg):
-    """Operator-level verification; returns (summary dict, passed bool)."""
+    """Operator-level verification; returns (body, passed)."""
     ve = VelocityGrid(cfg.n_v, cfg.cutoff)
     rng = np.random.default_rng(cfg.seed)
     tables = {gam: landau.build_kernel_tables(gam, ve)
@@ -73,9 +77,7 @@ def operator_test(cfg):
     for full, rhs in ((full_p, rhs_p), (full_m, rhs_m)):
         ds += float(np.sum(np.log(np.maximum(full, 1e-300)) * rhs)) \
             * sgrid.cell_volume
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "operator_test",
+    body = {
         "fft_oracle_rel_error": pair_errors,
         "fft_oracle_max_rel_error": fft_oracle_max,
         "epsilon_op": eps_ops,
@@ -85,7 +87,6 @@ def operator_test(cfg):
         "collision_mass_moment_rel": mass_moment,
         "corrected_moment_max": corrected_max,
         "entropy_production": ds,
-        "config": cfg.echo(),
     }
     passed = (
         fft_oracle_max <= verify.FFT_ORACLE_TOL
@@ -95,27 +96,27 @@ def operator_test(cfg):
         and mass_moment <= verify.MASS_MOMENT_TOL
         and corrected_max <= verify.CORRECTED_MOMENT_TOL
     )
-    summary["passed"] = passed
-    return summary, passed
+    return body, passed
 
 
-def _make_state(cfg, grid):
-    """The configured initial state and the summary of its positivity rescue."""
+def _set_up(cfg):
+    """The weight spec, the kernel tables, the configured initial state and
+    the summary of its positivity rescue: what the evolution modes share."""
+    grid = cfg.phase_grid()
+    tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
     state, halvings = initial.initial_condition_and_halvings(
         grid, family=cfg.family, amplitude=cfg.amplitude, modes=cfg.modes,
         profile=cfg.profile, tail_power=cfg.tail_power, species=cfg.species,
         seed=cfg.seed)
-    return state, {"requested_amplitude": cfg.amplitude,
-                   "effective_amplitude": cfg.amplitude / 2**halvings,
-                   "halvings": halvings}
+    rescue = {"requested_amplitude": cfg.amplitude,
+              "effective_amplitude": cfg.amplitude / 2**halvings,
+              "halvings": halvings}
+    return cfg.weight_spec(), tables, state, rescue
 
 
 def nonlinear_run(cfg):
-    """Full-system evolution with diagnostics; returns (summary, passed)."""
-    grid = cfg.phase_grid()
-    spec = cfg.weight_spec()
-    tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
-    state, rescue = _make_state(cfg, grid)
+    """Full-system evolution with diagnostics; returns (body, passed)."""
+    spec, tables, state, rescue = _set_up(cfg)
     recorder = diagnostics.Recorder(spec, state.clone(),
                                     cadence=cfg.record_every,
                                     epsilon_op=tables.epsilon_op)
@@ -124,7 +125,6 @@ def nonlinear_run(cfg):
         picard_max_iters=cfg.picard_max_iters,
         conservative_correction=cfg.conservative_correction,
         workers=cfg.workers)
-    os.makedirs(cfg.directory, exist_ok=True)
 
     def sink(s, info):
         recorder(s, info)
@@ -153,9 +153,7 @@ def nonlinear_run(cfg):
                           and fits["exponential"]["r_squared"] >= 0.99)
     min_pos = min(recorder.series("min_fplus").min(),
                   recorder.series("min_fminus").min())
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "nonlinear",
+    body = {
         "conservation": {
             "mass_plus": report.rel_mass_plus,
             "mass_minus": report.rel_mass_minus,
@@ -171,29 +169,19 @@ def nonlinear_run(cfg):
         "final_time": final.time,
         "flags": flags,
         "positivity_rescue": rescue,
-        "config": cfg.echo(),
     }
-    passed = all(flags.values())
-    summary["passed"] = passed
-    diagnostics.summary_to_json(os.path.join(cfg.directory, cfg.summary),
-                                summary)
-    return summary, passed
+    return body, all(flags.values())
 
 
 def linearized_run(cfg):
-    """Linearized decay experiment; returns (summary, passed)."""
-    grid = cfg.phase_grid()
-    spec = cfg.weight_spec()
-    tables = landau.build_kernel_tables(cfg.gamma, grid.velocity)
-    state, rescue = _make_state(cfg, grid)
+    """Linearized decay experiment; returns (body, passed)."""
+    spec, tables, state, rescue = _set_up(cfg)
     result = diagnostics.linearized_decay_experiment(
         state, tables, spec, cfg.dt, cfg.t_final, cadence=cfg.record_every,
         transient_fraction=cfg.transient_fraction,
         conservative_correction=cfg.conservative_correction,
         scheme=cfg.scheme, workers=cfg.workers)
-    os.makedirs(cfg.directory, exist_ok=True)
-    series_path = os.path.join(cfg.directory, cfg.csv)
-    with open(series_path, "w") as fh:
+    with open(os.path.join(cfg.directory, cfg.csv), "w") as fh:
         fh.write("time,micro_norm,macro_norm,e_k\n")
         for row in zip(result.times, result.micro_norms, result.macro_norms,
                        result.e_k_series):
@@ -204,9 +192,7 @@ def linearized_run(cfg):
         "conservation": result.conservation_max_drift <= LINEARIZED_DRIFT_TOL,
         "decayed": bool(result.fit_exponential.rate > 0),
     }
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "linearized",
+    body = {
         "fit_exponential": asdict(result.fit_exponential),
         "fit_polynomial": asdict(result.fit_polynomial),
         "subexponential": result.fit_polynomial.r_squared
@@ -214,25 +200,23 @@ def linearized_run(cfg):
         "conservation_max_drift": result.conservation_max_drift,
         "flags": flags,
         "positivity_rescue": rescue,
-        "config": cfg.echo(),
     }
-    passed = all(flags.values())
-    summary["passed"] = passed
-    diagnostics.summary_to_json(os.path.join(cfg.directory, cfg.summary),
-                                summary)
-    return summary, passed
+    return body, all(flags.values())
+
+
+MODES = {"operator_test": operator_test, "nonlinear": nonlinear_run,
+         "linearized": linearized_run}
 
 
 def run_experiment(cfg):
-    """Dispatch on the configured mode; returns (summary, passed)."""
-    if cfg.mode == "operator_test":
-        summary, passed = operator_test(cfg)
-        os.makedirs(cfg.directory, exist_ok=True)
-        diagnostics.summary_to_json(os.path.join(cfg.directory, cfg.summary),
-                                    summary)
-        return summary, passed
-    if cfg.mode == "nonlinear":
-        return nonlinear_run(cfg)
-    if cfg.mode == "linearized":
-        return linearized_run(cfg)
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+    """Run the configured mode and write its summary; returns (summary,
+    passed)."""
+    if cfg.mode not in MODES:
+        raise ValueError(f"unknown mode {cfg.mode!r}")
+    os.makedirs(cfg.directory, exist_ok=True)
+    body, passed = MODES[cfg.mode](cfg)
+    summary = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode, **body,
+               "config": cfg.echo(), "passed": passed}
+    diagnostics.summary_to_json(os.path.join(cfg.directory, cfg.summary),
+                                summary)
+    return summary, passed

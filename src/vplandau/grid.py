@@ -63,8 +63,9 @@ class SpatialGrid:
         if self.dim_x not in (1, 2, 3):
             raise ValueError(f"dim_x must be in {{1,2,3}}, got {self.dim_x}")
         _check_power_of_two(self.n_x, "n_x")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(
+                f"length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self):
@@ -104,8 +105,9 @@ class VelocityGrid:
 
     def __post_init__(self):
         _check_power_of_two(self.n_v, "n_v")
-        if self.cutoff_L <= 0:
-            raise ValueError("cutoff_L must be positive")
+        if not 0 < self.cutoff_L < math.inf:
+            raise ValueError(
+                f"cutoff_L must be positive and finite, got {self.cutoff_L}")
 
     @property
     def spacing(self):
@@ -204,12 +206,11 @@ def derivative_multiplier(axis_grid, order):
     return mult
 
 
-def wavenumber_squared(axis_grid, ndim=None):
-    """``|k|^2`` over every axis of ``axis_grid``, the last axes of ``ndim``."""
+def wavenumber_squared(axis_grid):
+    """``|k|^2`` over every axis of ``axis_grid``."""
     k = axis_grid.axis_wavenumbers()
-    n_axes = len(axis_grid.shape)
-    ndim = n_axes if ndim is None else ndim
-    return sum(along(k, ndim - n_axes + a, ndim) ** 2 for a in range(n_axes))
+    ndim = len(axis_grid.shape)
+    return sum(along(k, a, ndim) ** 2 for a in range(ndim))
 
 
 @lru_cache(maxsize=None)

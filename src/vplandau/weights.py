@@ -119,10 +119,9 @@ def bracket(velocity_grid):
     return np.sqrt(1.0 + velocity_grid.speed_squared())
 
 
-def weight_field(spec, velocity_grid, a_order, b_order, r_override=None):
+def weight_field(spec, velocity_grid, a_order, b_order):
     """``<v>^(weight exponent)`` sampled on the velocity grid."""
-    return bracket(velocity_grid) ** weight_exponent(spec, a_order, b_order,
-                                                     r_override)
+    return bracket(velocity_grid) ** weight_exponent(spec, a_order, b_order)
 
 
 def weight_A(spec, a_order, b_order):
@@ -291,22 +290,23 @@ def landau_D_norm(values, velocity_grid, gamma):
 # ---- mixed-derivative machinery ----------------------------------------------
 
 
-def mixed_indices(dim_x, max_order=WEIGHT_MAX_ORDER):
-    """All (alpha, beta) multi-index pairs with |alpha| + |beta| <= max_order."""
+def mixed_indices(dim_x):
+    """All (alpha, beta) multi-index pairs with |alpha| + |beta| <=
+    ``WEIGHT_MAX_ORDER``."""
     alphas = []
-    for total in range(max_order + 1):
+    for total in range(WEIGHT_MAX_ORDER + 1):
         for combo in product(range(total + 1), repeat=dim_x):
             if sum(combo) == total:
                 alphas.append(combo)
     betas = []
-    for total in range(max_order + 1):
+    for total in range(WEIGHT_MAX_ORDER + 1):
         for combo in product(range(total + 1), repeat=3):
             if sum(combo) == total:
                 betas.append(combo)
     out = []
     for al in alphas:
         for be in betas:
-            if sum(al) + sum(be) <= max_order:
+            if sum(al) + sum(be) <= WEIGHT_MAX_ORDER:
                 out.append((al, be))
     return out
 

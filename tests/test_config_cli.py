@@ -179,7 +179,8 @@ x = 1
         ("time.dt", "nan"), ("time.t_final", "-1"), ("time.t_final", "0"),
         ("time.t_final", "inf"), ("output.record_every", "-3"),
         ("flags.transient_fraction", "-0.1"),
-        ("flags.transient_fraction", "nan"), ("initial.amplitude", "inf")])
+        ("flags.transient_fraction", "nan"), ("initial.amplitude", "inf"),
+        ("initial.seed", "-1")])
     def test_bad_value_is_a_violation(self, dotted, value):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL, overrides={dotted: value})
@@ -199,10 +200,27 @@ x = 1
         assert (cfg.transient_fraction, cfg.amplitude, cfg.record_every,
                 cfg.t_final) == (0.0, -1e-3, 1, 1e-3)
 
+    def test_linearized_checkpoints_are_a_violation(self):
+        # the linearized mode writes no checkpoints, so a period is refused
+        # there and kept for the nonlinear mode
+        lin = {"flags.mode": "linearized", "output.checkpoint_every": "2"}
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides=lin)
+        assert [v for v in err.value.violations
+                if v.startswith("output.checkpoint_every:")] == [
+            "output.checkpoint_every: the linearized mode writes no "
+            "checkpoints; 0 required, got 2"]
+        assert parse_config(MINIMAL, overrides={
+            **lin, "flags.mode": "nonlinear"}).checkpoint_every == 2
+        assert parse_config(MINIMAL, overrides={
+            **lin, "output.checkpoint_every": "0"}).mode == "linearized"
+
     def test_counts_at_their_bounds_parse(self):
         cfg = parse_config(MINIMAL, overrides={"time.picard_max_iters": "1",
-                                               "output.checkpoint_every": "0"})
-        assert (cfg.picard_max_iters, cfg.checkpoint_every) == (1, 0)
+                                               "output.checkpoint_every": "0",
+                                               "initial.seed": "0"})
+        assert (cfg.picard_max_iters, cfg.checkpoint_every, cfg.seed) == (
+            1, 0, 0)
 
     def test_readme_config_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -356,6 +374,33 @@ t_final = 0.3
 [flags]
 mode = linearized
 """
+
+    @pytest.mark.parametrize("mode", ["operator_test", "nonlinear",
+                                      "linearized"])
+    def test_every_mode_writes_the_common_keys(self, tmp_path, mode):
+        # run_experiment makes the directory and adds the four keys to the
+        # body each mode returns
+        from vplandau.experiments import SCHEMA_VERSION, run_experiment
+
+        out = tmp_path / "new"
+        cfg = parse_config(self.LINEARIZED + f"[output]\ndirectory = {out}\n",
+                           overrides={"flags.mode": mode})
+        summary, passed = run_experiment(cfg)
+        written = json.loads((out / "summary.json").read_text())
+        assert written["schema_version"] == SCHEMA_VERSION
+        assert written["mode"] == cfg.mode == mode
+        assert written["config"] == json.loads(json.dumps(cfg.echo()))
+        assert written["passed"] is summary["passed"] is passed
+
+    def test_unknown_mode_is_refused_before_any_output(self, tmp_path):
+        from vplandau.experiments import run_experiment
+
+        out = tmp_path / "new"
+        cfg = parse_config(MINIMAL + f"[output]\ndirectory = {out}\n")
+        cfg.mode = "bogus"
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            run_experiment(cfg)
+        assert not out.exists()
 
     def test_linearized_mode_checks_its_invariants(self, tmp_path):
         # the field energy is not a linearized invariant: its drift here is
@@ -531,6 +576,27 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         fit = json.loads(proc.stdout)
         assert fit["rate"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_fit_names_a_missing_column(self, tmp_path, capsys):
+        from vplandau import cli
+
+        csv = tmp_path / "series.csv"
+        csv.write_text("time,e_k\n0.0,1.0\n1.0,0.5\n")
+        assert cli.main(["fit", str(csv), "--column", "bogus"]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "no column 'bogus'" in message
+        assert message.endswith("its columns: time, e_k")
+
+    @pytest.mark.parametrize("window", ["5", "a,b", "1,2,3"])
+    def test_fit_says_what_window_takes(self, tmp_path, capsys, window):
+        from vplandau import cli
+
+        csv = tmp_path / "series.csv"
+        csv.write_text("time,e_k\n0.0,1.0\n1.0,0.5\n")
+        assert cli.main(["fit", str(csv), "--window", window]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"--window takes T0,T1, two numbers, got {window!r}"}
 
     def test_fit_reads_a_linearized_series(self, tmp_path, capsys):
         from vplandau import cli

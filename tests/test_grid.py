@@ -49,6 +49,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             SpatialGrid(4, 16)
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+    def test_sizes_must_be_positive_and_finite(self, size):
+        with pytest.raises(ValueError, match="cutoff_L must be positive and"):
+            VelocityGrid(16, size)
+        with pytest.raises(ValueError, match="length must be positive and"):
+            SpatialGrid(1, 16, size)
+
     def test_wavenumbers_are_scaled_integers(self):
         sp = SpatialGrid(1, 16)
         k = sp.axis_wavenumbers()

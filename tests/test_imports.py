@@ -2,7 +2,8 @@
 and none of them reaches scipy: numpy.fft is the one transform library.
 The collision operator uses none: its kernel tables and convolutions are
 real matrix products.  One function, ``landau.split_nodes``, holds the
-thread pool."""
+thread pool, and one, ``experiments.run_experiment``, makes the output
+directory and writes the summary."""
 
 import ast
 import subprocess
@@ -67,7 +68,10 @@ def test_no_scipy_import(path):
 
 
 def test_import_loads_no_scipy():
-    code = ("import sys, vplandau\n"
+    # the package's __init__ imports nothing, so every module is imported
+    code = ("import importlib, sys\n"
+            f"for m in {[p.stem for p in MODULES]}:\n"
+            "    importlib.import_module('vplandau.' + m)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
@@ -105,17 +109,17 @@ def test_collision_operator_uses_no_fft():
     assert fft_uses(path.read_text()) == []
 
 
-def pool_readers(source):
-    """Names of the functions that read ``ThreadPoolExecutor`` (the innermost
-    one around each read), and ``<module>`` for a read outside them."""
+def readers(source, name):
+    """Names of the functions that read ``name`` as a name or an attribute
+    (the innermost one around each read), and ``<module>`` for a read
+    outside them."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor"
-                or isinstance(node, ast.Attribute)
-                and node.attr == "ThreadPoolExecutor"):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -136,14 +140,24 @@ def test_scan_finds_pool_readers():
               "        return futures.ThreadPoolExecutor(2)\n"
               "def other():\n"
               "    return 'ThreadPoolExecutor'\n")
-    assert pool_readers(source) == ["<module>", "run", "split"]
+    assert readers(source, "ThreadPoolExecutor") == ["<module>", "run",
+                                                     "split"]
+
+
+def package_readers(name):
+    """``(module, function)`` for every read of ``name`` in the package."""
+    return [(path.stem, owner)
+            for path in MODULES + [Path(vplandau.__file__)]
+            for owner in readers(path.read_text(), name)]
 
 
 def test_one_function_holds_the_thread_pool():
-    readers = [(path.stem, name)
-               for path in MODULES + [Path(vplandau.__file__)]
-               for name in pool_readers(path.read_text())]
-    assert readers == [("landau", "split_nodes")]
+    assert package_readers("ThreadPoolExecutor") == [("landau", "split_nodes")]
+
+
+@pytest.mark.parametrize("name", ["summary_to_json", "makedirs"])
+def test_one_function_writes_the_summary(name):
+    assert package_readers(name) == [("experiments", "run_experiment")]
 
 
 def definitions(source):
