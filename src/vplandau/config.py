@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .grid import PhaseGrid, SpatialGrid, VelocityGrid
+from .grid import PhaseGrid, SpatialGrid, VelocityGrid, threads_from_env
 from .weights import MODELS, WeightSpec
 
 K0 = {"landau": 10.0, "boltzmann": 17.0}
@@ -140,6 +139,13 @@ def _convert(convert, text):
     return text.strip()
 
 
+def default_value(dotted):
+    """The value of key ``section.key`` in a config that leaves it out."""
+    section, _, key = dotted.partition(".")
+    text, convert = _KEYS[section][key]
+    return _convert(convert, text)
+
+
 def _unreadable(exc):
     """The violation, naming its line, of text ``configparser`` cannot read."""
     if isinstance(exc, configparser.DuplicateSectionError):
@@ -204,12 +210,10 @@ def parse_config(text, overrides=None):
                           "writes no checkpoints; 0 required, got "
                           f"{values['checkpoint_every']}")
 
-    env = os.environ.get("VPLANDAU_THREADS", "").strip()
     try:
-        values["workers"] = _POSITIVE_INT(env) if env else None
-    except ValueError:
-        violations.append(
-            f"VPLANDAU_THREADS: positive integer required, got {env!r}")
+        values["workers"] = threads_from_env()
+    except ValueError as exc:
+        violations.append(str(exc))
 
     if violations:
         raise ConfigError(violations)

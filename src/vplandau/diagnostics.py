@@ -22,7 +22,7 @@ import numpy as np
 
 from . import weights
 from .errors import FitError
-from .grid import axis_derivative, l2_norm
+from .grid import axis_derivative, l2_norm, threads_from_env
 from .state import (
     ConservedQuantities,
     check_conservation,
@@ -117,7 +117,9 @@ class Recorder:
 
     Appends a :class:`DiagnosticsRecord` every ``cadence`` steps (plus an
     initial record for the starting state); heavier functionals (E_k, D_k)
-    are evaluated only on recorded steps.
+    are evaluated only on recorded steps.  The ``D_k`` pass splits the
+    spatial nodes over the ``VPLANDAU_THREADS`` threads, read when the
+    recorder is built (``ValueError`` unless a positive integer or unset).
     """
 
     def __init__(self, spec, reference_state, cadence=1, epsilon_op=0.0,
@@ -128,6 +130,7 @@ class Recorder:
             raise ValueError(f"cadence must be at least 1, got {cadence}")
         self.epsilon_op = epsilon_op
         self.compute_d_k = compute_d_k
+        self.workers = threads_from_env()
         self.records = []
         self.reference = reference_state
         self._prev = reference_state
@@ -138,7 +141,8 @@ class Recorder:
         q = ConservedQuantities.of(state)
         e_k, d_k, h3 = weights.energy_dissipation(
             state, self.spec,
-            with_d_k=self.compute_d_k and self.spec.model == "landau")
+            with_d_k=self.compute_d_k and self.spec.model == "landau",
+            workers=self.workers)
         n_p, n_i = projection_split_norms(state)
         pos = positivity_monitor(state)
         if state.time == self._prev_time:

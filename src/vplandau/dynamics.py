@@ -26,7 +26,13 @@ from numpy.polynomial import chebyshev as cheb
 
 from . import landau
 from .errors import PicardConvergenceError
-from .grid import along, derivative_multiplier, l2_norm, v_derivative_trailing
+from .grid import (
+    along,
+    derivative_multiplier,
+    l2_norm,
+    split_nodes,
+    v_derivative_trailing,
+)
 from .state import invariants
 
 RKC_DAMPING = 2.0 / 13.0  # eps of the damped Chebyshev argument w0
@@ -42,7 +48,7 @@ class TimeStepConfig:
     conservative_correction: bool = True
     linearized: bool = False
     # threads over which the collision substep splits the spatial nodes;
-    # each node block runs the whole integrator (landau.split_nodes)
+    # each node block runs the whole integrator (grid.split_nodes)
     workers: int | None = None
 
     def __post_init__(self):
@@ -322,7 +328,7 @@ def collision_step(state, dt, cfg, tables, corrector=None):
       iteration of the approximation scheme (nonlinear ``picard_implicit``).
 
     Either way each spatial node is its own ODE, so one integration splits
-    the nodes once over ``cfg.workers`` threads (:func:`landau.split_nodes`)
+    the nodes once over ``cfg.workers`` threads (:func:`grid.split_nodes`)
     and each block integrates its nodes; the finiteness check and the
     Picard norm run on the joined arrays.
     """
@@ -356,8 +362,7 @@ def collision_step(state, dt, cfg, tables, corrector=None):
                 return rkc_step_pair(rhs, fp, fm, dt, stages)
             return _rk4_pair(rhs, fp, fm, dt)
 
-        blocks = landau.split_nodes(len(nodes(state.f_plus)), cfg.workers,
-                                    block)
+        blocks = split_nodes(len(nodes(state.f_plus)), cfg.workers, block)
         out = [np.concatenate(f).reshape(shape) for f in zip(*blocks)]
         _check_finite("collision", state.time, out)
         return out

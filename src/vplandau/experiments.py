@@ -7,7 +7,9 @@ Three modes share the RunConfig surface:
   inequality suite (including the corrupted-r counterexample), the
   projection algebra suite and the collision invariant moments.  No time
   evolution; the instantaneous entropy production of a random positive
-  state is reported as the H-theorem monitor.
+  state is reported as the H-theorem monitor.  It reads a config written
+  for ``nonlinear`` too, and lists the evolution-only keys set away from
+  their defaults as ``ignored_keys``.
 * ``nonlinear``: full system evolution with per-step diagnostics, decay
   fits and conservation drifts.
 * ``linearized``: the linearized large-time decay experiment.
@@ -29,6 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import diagnostics, dynamics, initial, landau, verify
+from .config import default_value
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid
 from .state import check_conservation, maxwellian, save_checkpoint
 
@@ -38,6 +41,15 @@ SCHEMA_VERSION = 1
 # thresholds live in vplandau.verify
 CONSERVATION_TOL = 1e-8
 LINEARIZED_DRIFT_TOL = 1e-9
+
+# the keys that only the evolution modes read
+EVOLUTION_KEYS = (
+    "grid.dim_x", "grid.n_x", "time.dt", "time.t_final", "time.scheme",
+    "time.picard_tol", "time.picard_max_iters", "initial.family",
+    "initial.amplitude", "initial.modes", "initial.profile",
+    "initial.tail_power", "initial.species", "output.csv",
+    "output.checkpoint_every", "output.record_every",
+    "flags.conservative_correction", "flags.transient_fraction")
 
 
 def operator_test(cfg):
@@ -87,6 +99,9 @@ def operator_test(cfg):
         "collision_mass_moment_rel": mass_moment,
         "corrected_moment_max": corrected_max,
         "entropy_production": ds,
+        "ignored_keys": [dotted for dotted in EVOLUTION_KEYS
+                         if getattr(cfg, dotted.partition(".")[2])
+                         != default_value(dotted)],
     }
     passed = (
         fft_oracle_max <= verify.FFT_ORACLE_TOL

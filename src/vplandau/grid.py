@@ -29,6 +29,10 @@ Conventions used throughout the package:
   value).  Parseval then reads ``integral |f|^2 = box_volume * sum |fhat|^2``:
   the quadrature L2 norm below and the coefficient norm agree up to
   roundoff.
+* Operators that act in ``v`` alone split the spatial nodes over the
+  ``VPLANDAU_THREADS`` threads (:func:`threads_from_env`) in one helper,
+  :func:`split_nodes`: the collision substep and the ``D_k`` pass of the
+  diagnostics record.
 * Quadrature is the uniform-weight (trapezoid-equivalent on a periodic grid)
   sum: cell volume ``(length/n_x)^dim_x * (2L/n_v)^3``.
 """
@@ -36,6 +40,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -285,6 +291,54 @@ def v_derivative_trailing(velocity_grid, values, axis, out=None):
     """
     return axis_derivative(velocity_grid, values, values.ndim - 3 + axis,
                            out=out)
+
+
+# ---- threads over spatial nodes -------------------------------------------
+
+
+def threads_from_env():
+    """The thread count ``VPLANDAU_THREADS`` sets, ``None`` when it is unset
+    or blank.
+
+    Raises ``ValueError``, naming the variable, for anything but a positive
+    integer.
+    """
+    text = os.environ.get("VPLANDAU_THREADS", "").strip()
+    if not text:
+        return None
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"VPLANDAU_THREADS: positive integer required, got {text!r}")
+    return count
+
+
+def split_nodes(count, workers, job):
+    """Run ``job(part)`` per contiguous block of ``count`` spatial nodes.
+
+    The nodes split as ``np.array_split`` splits them into
+    ``min(workers, count // 2)`` blocks (one at least), ``part`` the block's
+    slice.  A block keeps two nodes or more: OpenBLAS takes a product with
+    one row through gemv, whose sums round differently from gemm's, and the
+    corrector's products have a row per node.  The calling thread runs the
+    first block and a thread pool the others.  Every node runs the same
+    operations either way, so results do not depend on ``workers``.  Jobs
+    that find a lazy cache (of the kernel tables, the derivative matrices)
+    empty may each fill it; every fill computes the same values.  Returns
+    the jobs' results in node order.
+    """
+    k = max(1, min(workers or 1, count // 2))
+    size, extra = divmod(count, k)
+    edges = [b * size + min(b, extra) for b in range(k + 1)]
+    first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if not rest:
+        return [job(first)]
+    with ThreadPoolExecutor(len(rest)) as pool:
+        running = [pool.submit(job, part) for part in rest]
+        return [job(first)] + [done.result() for done in running]
 
 
 # ---- truncation / aliasing tolerance -------------------------------------

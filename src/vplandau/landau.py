@@ -31,10 +31,10 @@ The collision right-hand side of the perturbation system,
 collision substeps of :mod:`vplandau.dynamics` all go through it.
 
 The operator acts in ``v`` alone, so the ``workers`` threads
-(``VPLANDAU_THREADS``) split the spatial nodes into blocks, in one helper,
-:func:`split_nodes`.  The collision substep calls it once per RK4 substep or
-Picard iteration, and each block runs the whole integrator on its nodes
-through a single-threaded :func:`frozen_collision`;
+(``VPLANDAU_THREADS``) split the spatial nodes into blocks, through
+:func:`vplandau.grid.split_nodes`.  The collision substep calls it once per
+RK4 substep or Picard iteration, and each block runs the whole integrator on
+its nodes through a single-threaded :func:`frozen_collision`;
 :func:`convolve_tables` and :func:`apply_collision_field` split their nodes
 through it too.
 """
@@ -42,14 +42,13 @@ through it too.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CostGuardError, GridMismatchError, ParameterError
-from .grid import v_derivative_trailing
+from .grid import split_nodes, v_derivative_trailing
 from .state import invariant_moments, invariants, maxwellian
 
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -387,30 +386,6 @@ def _scratch(n):
     smaller buffers."""
     return (np.empty((2 * n, 4 * n * n)), np.empty((2 * n, 4 * n * n)),
             np.empty((n, 2 * n, 2 * n)), np.empty((n, n, 2 * n)))
-
-
-def split_nodes(count, workers, job):
-    """Run ``job(part)`` per contiguous block of ``count`` spatial nodes.
-
-    The nodes split as ``np.array_split`` splits them into
-    ``min(workers, count // 2)`` blocks (one at least), ``part`` the block's
-    slice.  A block keeps two nodes or more: OpenBLAS takes a product with
-    one row through gemv, whose sums round differently from gemm's, and the
-    corrector's products have a row per node.  The calling thread runs the
-    first block and a thread pool the others.  Every node runs the same
-    operations either way, so results do not depend on ``workers``.  Jobs
-    that find a lazy cache of the tables empty may each fill it; every fill
-    computes the same values.  Returns the jobs' results in node order.
-    """
-    k = max(1, min(workers or 1, count // 2))
-    size, extra = divmod(count, k)
-    edges = [b * size + min(b, extra) for b in range(k + 1)]
-    first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if not rest:
-        return [job(first)]
-    with ThreadPoolExecutor(len(rest)) as pool:
-        running = [pool.submit(job, part) for part in rest]
-        return [job(first)] + [done.result() for done in running]
 
 
 def _convolve_nodes(tables, nodes, out, part, scratch):

@@ -22,6 +22,7 @@ the anisotropic gradient ``grad_tilde = P_v grad + <v> (I - P_v) grad``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -34,6 +35,7 @@ from .grid import (
     along,
     axis_derivative,
     l2_norm,
+    split_nodes,
     v_derivative_trailing,
     wavenumber_squared,
 )
@@ -267,23 +269,35 @@ def _v_sum(a, b, weight):
     return np.einsum("...ijk,...ijk,ijk->...", a, b, weight)
 
 
-def landau_D_norm(values, velocity_grid, gamma):
+def landau_D_norm(values, velocity_grid, gamma, work=None):
     """Landau dissipation norm ``||f <v>^{g/2}|| + ||grad_tilde f <v>^{g/2}||``.
 
     The norms reduce over the trailing three (velocity) axes, so a
     phase-space field gives one value per spatial node.  The anisotropic
     gradient enters through its square,
     ``|grad_tilde f|^2 = <v>^2 |grad f|^2 + (1 - <v>^2) (v_hat . grad f)^2
-    = <v>^2 |grad f|^2 - (v . grad f)^2``, from the plain gradient.
+    = <v>^2 |grad f|^2 - (v . grad f)^2``, from the plain gradient, taken
+    one axis at a time.  ``work``, two C-contiguous arrays shaped like
+    ``values`` (or one array of both), holds that gradient and
+    ``v . grad f``; it is allocated when omitted.  The diagnostics record
+    calls this per block of spatial nodes, on the ``VPLANDAU_THREADS``
+    threads (:func:`_weighted_sums`).
     """
     w = velocity_grid.node_weight
     br_g, br_g2, *vs = _dissipation_factors(velocity_grid, gamma)
     first = np.sqrt(_v_sum(values, values, br_g) * w)
-    gradv = [v_derivative_trailing(velocity_grid, values, a) for a in range(3)]
-    radial = gradv[0] * vs[0] + gradv[1] * vs[1] + gradv[2] * vs[2]
-    tilde2 = sum(_v_sum(d, d, br_g2) for d in gradv) \
-        - _v_sum(radial, radial, br_g)
-    second = np.sqrt(tilde2 * w)
+    if work is None:
+        work = np.empty((2,) + values.shape)
+    grad_a, radial = work
+    tilde2 = 0.0
+    for a in range(3):
+        v_derivative_trailing(velocity_grid, values, a, out=grad_a)
+        tilde2 = tilde2 + _v_sum(grad_a, grad_a, br_g2)
+        if a == 0:
+            np.multiply(grad_a, vs[0], out=radial)
+        else:
+            radial += np.multiply(grad_a, vs[a], out=grad_a)
+    second = np.sqrt((tilde2 - _v_sum(radial, radial, br_g)) * w)
     return first + second
 
 
@@ -351,12 +365,29 @@ def _weight_fields(velocity_grid, spec):
     return MappingProxyType(out)
 
 
-def _weighted_sums(state, spec, with_y):
+def _dissipation_norms(pairs, velocity_grid, gamma, work, norms, part):
+    """:func:`landau_D_norm` of ``wf * der`` per ``(wf, der)`` of ``pairs``
+    on the spatial nodes ``part``, into ``norms[pair, node]``.
+
+    ``work`` holds ``wf * der``, the gradient and ``v . grad`` of every node;
+    the block uses its slice.
+    """
+    u = work[0, part]
+    for p, (wf, der) in enumerate(pairs):
+        np.multiply(der[part], wf, out=u)
+        norms[p, part] = landau_D_norm(u, velocity_grid, gamma,
+                                       work[1:, part])
+
+
+def _weighted_sums(state, spec, with_y, workers=None):
     """``(X_k, Y_k)`` from one walk of the index pairs per species.
 
-    Each species is transformed once; every ``(alpha, beta)`` derivative
-    adds its ``X_k`` term and, ``with_y``, its ``Y_k`` term (else ``Y_k``
-    is 0.0).
+    Each species is transformed once, on the calling thread; every
+    ``(alpha, beta)`` derivative adds its ``X_k`` term there.  With
+    ``with_y`` the ``Y_k`` terms follow in one pass per block of spatial
+    nodes, on ``workers`` threads (:func:`split_nodes`), which write the
+    per-node dissipation norms; their squares reduce pair by pair in node
+    order, so ``Y_k`` does not depend on ``workers``.  Else ``Y_k`` is 0.0.
     """
     g = state.grid
     if with_y and spec.model != "landau":
@@ -365,6 +396,11 @@ def _weighted_sums(state, spec, with_y):
     wfs = _weight_fields(g.velocity, spec)
     indices = mixed_indices(g.dim_x)
     wx = g.spatial.cell_volume
+    if with_y:
+        # wf * der, a gradient and v . grad per node; the norms per pair
+        nodes = math.prod(g.spatial.shape)
+        work = np.empty((3, nodes) + g.velocity.shape)
+        norms = np.empty((len(indices), nodes))
     x_total = y_total = 0.0
     for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
         # ladder constant times the squared weight of each X_k term
@@ -372,13 +408,19 @@ def _weighted_sums(state, spec, with_y):
             ab: ladder_constant(*ab)
             * (exp_weight_field(spec, g, *ab, state.phi, sign) * wf) ** 2
             for ab, wf in wfs.items()}
+        pairs = []
         for (al, be), der in mixed_derivatives(g, f, indices).items():
             ab = (sum(al), sum(be))
             d = der.ravel()
             x_total += float(np.einsum("i,i,i->", d, d,
                                        x_weights[ab].ravel())) * g.cell_volume
             if with_y:
-                d_norm = landau_D_norm(wfs[ab] * der, g.velocity, spec.gamma)
+                pairs.append((wfs[ab], der.reshape(work.shape[1:])))
+        if with_y:
+            split_nodes(nodes, workers, lambda part: _dissipation_norms(
+                pairs, g.velocity, spec.gamma, work, norms, part))
+            del pairs  # free this species' derivatives before the next's
+            for d_norm in norms:
                 y_total += float(np.sum(d_norm**2)) * wx
     return x_total, y_total
 
@@ -405,13 +447,14 @@ def functional_D_k(state, spec):
     return energy_dissipation(state, spec)[1]
 
 
-def energy_dissipation(state, spec, with_d_k=True):
+def energy_dissipation(state, spec, with_d_k=True, workers=None):
     """``(E_k, D_k, ||grad phi||^2_{H^3})`` from one transform per species.
 
-    ``D_k`` is 0.0 unless ``with_d_k``.
+    ``D_k`` is 0.0 unless ``with_d_k``; its per-node pass splits the spatial
+    nodes over ``workers`` threads, with the same result for any count.
     """
     h3 = h3_grad_norm_sq(state.grid.spatial, state.phi)
-    x_k, y_k = _weighted_sums(state, spec, with_d_k)
+    x_k, y_k = _weighted_sums(state, spec, with_d_k, workers)
     return x_k + h3, (y_k + h3 if with_d_k else 0.0), h3
 
 

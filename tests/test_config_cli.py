@@ -328,6 +328,34 @@ directory = {tmp_path}
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert payload["schema_version"] == 1
 
+    def test_operator_test_lists_the_ignored_keys(self, tmp_path):
+        # a config written for run parses; the evolution-only keys it sets
+        # away from their defaults are listed, the keys the mode reads
+        # (grid.n_v, initial.seed) and the defaults (time.t_final) are not
+        from vplandau.experiments import run_experiment
+
+        run_text = MINIMAL + f"""
+[time]
+dt = 0.005
+t_final = 1.0
+
+[initial]
+seed = 7
+
+[output]
+directory = {tmp_path}
+checkpoint_every = 2
+"""
+        overrides = {"flags.mode": "operator_test", "grid.n_v": "8"}
+        summary, _ = run_experiment(parse_config(run_text, overrides))
+        assert summary["ignored_keys"] == ["time.dt",
+                                           "output.checkpoint_every"]
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["ignored_keys"] == summary["ignored_keys"]
+        plain = MINIMAL + f"[output]\ndirectory = {tmp_path}\n"
+        summary, _ = run_experiment(parse_config(plain, overrides))
+        assert summary["ignored_keys"] == []
+
     def test_nonlinear_short_run(self, tmp_path):
         text = f"""
 [model]

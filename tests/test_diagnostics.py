@@ -198,10 +198,11 @@ class TestRecorder:
     def test_one_transform_per_species_and_record(self, small_grid,
                                                   monkeypatch, compute_d_k):
         # E_k, D_k and the H^3 field norm share one set of mixed
-        # derivatives per species
+        # derivatives per species, whether the D_k pass runs on one thread
+        # or on two
         spec = weights.WeightSpec("landau", -3.0, 10.0)
         st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
-        rec = Recorder(spec, st.clone(), compute_d_k=compute_d_k)
+        moved = transport_step(st, 0.01)
         calls = []
         derivatives = weights.mixed_derivatives
 
@@ -210,6 +211,21 @@ class TestRecorder:
             return derivatives(grid, values, indices)
 
         monkeypatch.setattr(weights, "mixed_derivatives", counted)
-        rec.record_state(transport_step(st, 0.01))
-        assert len(calls) == 2
-        assert (rec.records[-1].d_k > 0.0) == compute_d_k
+        d_ks = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VPLANDAU_THREADS", threads)
+            rec = Recorder(spec, st.clone(), compute_d_k=compute_d_k)
+            assert rec.workers == int(threads)
+            calls.clear()
+            rec.record_state(moved)
+            assert len(calls) == 2
+            d_ks.append(rec.records[-1].d_k)
+        assert (d_ks[0] > 0.0) == compute_d_k
+        assert d_ks[0] == d_ks[1]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_count_refused(self, small_grid, monkeypatch, value):
+        monkeypatch.setenv("VPLANDAU_THREADS", value)
+        spec = weights.WeightSpec("landau", -3.0, 10.0)
+        with pytest.raises(ValueError, match="VPLANDAU_THREADS"):
+            Recorder(spec, SystemState.zero(small_grid), compute_d_k=False)

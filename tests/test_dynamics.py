@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from vplandau import grid as grid_mod
 from vplandau import landau
 from vplandau.dynamics import (
     TimeStepConfig,
@@ -391,7 +392,7 @@ class TestWorkers:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(landau, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
         tables = landau.build_kernel_tables(-3.0, state.grid.velocity,
                                             measure=False)
         _, iterations, _ = collision_step(state, dt, TimeStepConfig(

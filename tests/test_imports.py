@@ -1,7 +1,7 @@
 """Every module-level import in ``src/vplandau`` is used by its module,
 and none of them reaches scipy: numpy.fft is the one transform library.
 The collision operator uses none: its kernel tables and convolutions are
-real matrix products.  One function, ``landau.split_nodes``, holds the
+real matrix products.  One function, ``grid.split_nodes``, holds the
 thread pool, and one, ``experiments.run_experiment``, makes the output
 directory and writes the summary."""
 
@@ -152,7 +152,7 @@ def package_readers(name):
 
 
 def test_one_function_holds_the_thread_pool():
-    assert package_readers("ThreadPoolExecutor") == [("landau", "split_nodes")]
+    assert package_readers("ThreadPoolExecutor") == [("grid", "split_nodes")]
 
 
 @pytest.mark.parametrize("name", ["summary_to_json", "makedirs"])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.fft as sfft
 from scipy.integrate import quad
 
 import vplandau
+from vplandau import grid as grid_mod
 from vplandau import landau
 from vplandau.dynamics import TimeStepConfig, advance
 from vplandau.errors import ParameterError
@@ -449,6 +451,39 @@ class TestSharedPass:
         e_k, d_k, _ = energy_dissipation(state, spec)
         assert _rel(e_k, e_ref) <= 2.0 * spread_e
         assert _rel(d_k, d_ref) <= 2.0 * spread_d
+
+    def test_bit_identical_across_workers(self, small_grid, monkeypatch):
+        # the D_k pass splits the 8 nodes into 1, 2 and 3 blocks, once per
+        # species; the per-node norms reduce in node order either way
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
+        tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
+                                            measure=False)
+        state = advance(
+            make_initial_condition(small_grid, amplitude=1e-3, seed=5),
+            0.005, TimeStepConfig(dt=0.005), tables)
+        spec = WeightSpec("landau", -3.0, 10.0)
+        # a 1 us switch interval interleaves the blocks' threads finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, two, three = (energy_dissipation(state, spec, workers=w)
+                               for w in (1, 2, 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert one[1] > 0.0
+        assert [x.hex() for x in one] == [x.hex() for x in two] \
+            == [x.hex() for x in three]
+        assert len(pools) == 4
+        assert energy_dissipation(state, spec, with_d_k=False, workers=3) \
+            == (one[0], 0.0, one[2])
+        assert len(pools) == 4  # the E_k-only pass starts no thread
 
     @pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
     def test_closed_form_of_the_anisotropic_gradient(self, small_grid, rng,
