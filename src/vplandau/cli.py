@@ -9,10 +9,9 @@ Subcommands:
 * ``fit <csv>``             -- offline re-fit of an existing series CSV
 
 ``--set section.key=value`` overrides config keys; the environment variable
-``VPLANDAU_THREADS`` sets the number of threads over which the collision
-substep splits the spatial nodes (each block of nodes runs the whole
-integrator) and over which the ``D_k`` pass of each diagnostics record
-splits them.  ``operator-test`` reads a config written for ``run`` and lists
+``VPLANDAU_THREADS`` sets the number of threads over which the spatial nodes
+split (:func:`vplandau.grid.split_nodes` reads it; the config checks and
+echoes it).  ``operator-test`` reads a config written for ``run`` and lists
 the evolution-only keys it ignores in its summary.  The exit status is 0
 when the mode's built-in assertions pass, 1 when they fail, and 2 on
 configuration or runtime errors (with a structured JSON report on stderr).

@@ -9,13 +9,17 @@ names cited by the validator:
   k >= 17 (Boltzmann weights).
 * ``gamma range``, ``s range``, ``gamma+2s``: the model's own constraints,
   reported by :meth:`vplandau.weights.WeightSpec.violations`.
+
+The parser also checks ``VPLANDAU_THREADS`` and echoes its count as
+``workers``; the run itself reads the variable where it splits the spatial
+nodes (:func:`vplandau.grid.split_nodes`).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import ConfigError
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid, threads_from_env
@@ -85,37 +89,10 @@ _KEYS = {
 }
 
 
-@dataclass
-class RunConfig:
-    model: str
-    gamma: float
-    s: float | None
-    k: float
-    dim_x: int
-    n_x: int
-    n_v: int
-    cutoff: float
-    dt: float
-    t_final: float
-    scheme: str
-    picard_tol: float
-    picard_max_iters: int
-    family: str
-    amplitude: float
-    modes: tuple
-    profile: str
-    tail_power: float
-    species: str
-    seed: int
-    directory: str
-    csv: str
-    summary: str
-    checkpoint_every: int
-    record_every: int
-    conservative_correction: bool
-    mode: str
-    transient_fraction: float
-    workers: int | None = None
+class RunConfig(SimpleNamespace):
+    """The effective configuration: one attribute per key of ``_KEYS``, in
+    its order, then ``workers``, the ``VPLANDAU_THREADS`` count the summary
+    echoes."""
 
     def phase_grid(self):
         return PhaseGrid(SpatialGrid(self.dim_x, self.n_x),
@@ -139,11 +116,12 @@ def _convert(convert, text):
     return text.strip()
 
 
-def default_value(dotted):
-    """The value of key ``section.key`` in a config that leaves it out."""
-    section, _, key = dotted.partition(".")
-    text, convert = _KEYS[section][key]
-    return _convert(convert, text)
+def defaults():
+    """``{"section.key": value}`` of a config that sets no key, in the order
+    of ``_KEYS``."""
+    return {f"{section}.{key}": _convert(convert, text)
+            for section, keys in _KEYS.items()
+            for key, (text, convert) in keys.items()}
 
 
 def _unreadable(exc):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import weights
 from .errors import FitError
-from .grid import axis_derivative, l2_norm, threads_from_env
+from .grid import axis_derivative, l2_norm
 from .state import (
     ConservedQuantities,
     check_conservation,
@@ -118,8 +118,8 @@ class Recorder:
     Appends a :class:`DiagnosticsRecord` every ``cadence`` steps (plus an
     initial record for the starting state); heavier functionals (E_k, D_k)
     are evaluated only on recorded steps.  The ``D_k`` pass splits the
-    spatial nodes over the ``VPLANDAU_THREADS`` threads, read when the
-    recorder is built (``ValueError`` unless a positive integer or unset).
+    spatial nodes over the ``VPLANDAU_THREADS`` threads
+    (:func:`vplandau.grid.split_nodes`).
     """
 
     def __init__(self, spec, reference_state, cadence=1, epsilon_op=0.0,
@@ -130,7 +130,6 @@ class Recorder:
             raise ValueError(f"cadence must be at least 1, got {cadence}")
         self.epsilon_op = epsilon_op
         self.compute_d_k = compute_d_k
-        self.workers = threads_from_env()
         self.records = []
         self.reference = reference_state
         self._prev = reference_state
@@ -141,8 +140,7 @@ class Recorder:
         q = ConservedQuantities.of(state)
         e_k, d_k, h3 = weights.energy_dissipation(
             state, self.spec,
-            with_d_k=self.compute_d_k and self.spec.model == "landau",
-            workers=self.workers)
+            with_d_k=self.compute_d_k and self.spec.model == "landau")
         n_p, n_i = projection_split_norms(state)
         pos = positivity_monitor(state)
         if state.time == self._prev_time:
@@ -276,7 +274,7 @@ class LinearizedResult:
 def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
                                 cadence=1, transient_fraction=0.1,
                                 conservative_correction=True,
-                                scheme="picard_implicit", workers=None):
+                                scheme="picard_implicit"):
     """Evolve the linearized system and fit the decay of its energy.
 
     The dynamics drop every nonlinear term: transport, the field source
@@ -295,7 +293,7 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
                                       initial_state.f_minus - pi_m)
     cfg = dynamics.TimeStepConfig(
         dt=dt, scheme=scheme, linearized=True,
-        conservative_correction=conservative_correction, workers=workers)
+        conservative_correction=conservative_correction)
     times = [state.time]
     micro = []
     macro = []

@@ -47,8 +47,9 @@ class TimeStepConfig:
     picard_max_iters: int = 25
     conservative_correction: bool = True
     linearized: bool = False
-    # threads over which the collision substep splits the spatial nodes;
-    # each node block runs the whole integrator (grid.split_nodes)
+    # threads over which the collision substep splits the spatial nodes,
+    # None for VPLANDAU_THREADS; each node block runs the whole integrator
+    # (grid.split_nodes)
     workers: int | None = None
 
     def __post_init__(self):
@@ -328,9 +329,10 @@ def collision_step(state, dt, cfg, tables, corrector=None):
       iteration of the approximation scheme (nonlinear ``picard_implicit``).
 
     Either way each spatial node is its own ODE, so one integration splits
-    the nodes once over ``cfg.workers`` threads (:func:`grid.split_nodes`)
-    and each block integrates its nodes; the finiteness check and the
-    Picard norm run on the joined arrays.
+    the nodes once over ``cfg.workers`` threads, or the ``VPLANDAU_THREADS``
+    ones when it is ``None`` (:func:`grid.split_nodes`), and each block
+    integrates its nodes; the finiteness check and the Picard norm run on
+    the joined arrays.
     """
     if not cfg.conservative_correction:
         corrector = None

@@ -29,10 +29,10 @@ Conventions used throughout the package:
   value).  Parseval then reads ``integral |f|^2 = box_volume * sum |fhat|^2``:
   the quadrature L2 norm below and the coefficient norm agree up to
   roundoff.
-* Operators that act in ``v`` alone split the spatial nodes over the
-  ``VPLANDAU_THREADS`` threads (:func:`threads_from_env`) in one helper,
-  :func:`split_nodes`: the collision substep and the ``D_k`` pass of the
-  diagnostics record.
+* Operators that act in ``v`` alone split the spatial nodes over threads
+  in one helper, :func:`split_nodes`: the collision substep and the ``D_k``
+  pass of the diagnostics record.  It is the one place in a run that reads
+  ``VPLANDAU_THREADS`` (:func:`threads_from_env`).
 * Quadrature is the uniform-weight (trapezoid-equivalent on a periodic grid)
   sum: cell volume ``(length/n_x)^dim_x * (2L/n_v)^3``.
 """
@@ -319,17 +319,20 @@ def threads_from_env():
 def split_nodes(count, workers, job):
     """Run ``job(part)`` per contiguous block of ``count`` spatial nodes.
 
-    The nodes split as ``np.array_split`` splits them into
+    ``workers`` is the thread count, ``None`` for the one
+    ``VPLANDAU_THREADS`` sets (:func:`threads_from_env`, one thread when it
+    is unset).  The nodes split as ``np.array_split`` splits them into
     ``min(workers, count // 2)`` blocks (one at least), ``part`` the block's
     slice.  A block keeps two nodes or more: OpenBLAS takes a product with
     one row through gemv, whose sums round differently from gemm's, and the
     corrector's products have a row per node.  The calling thread runs the
     first block and a thread pool the others.  Every node runs the same
     operations either way, so results do not depend on ``workers``.  Jobs
-    that find a lazy cache (of the kernel tables, the derivative matrices)
-    empty may each fill it; every fill computes the same values.  Returns
-    the jobs' results in node order.
+    that find the derivative matrices' cache empty may each fill it; every
+    fill computes the same values.  Returns the jobs' results in node order.
     """
+    if workers is None:
+        workers = threads_from_env()
     k = max(1, min(workers or 1, count // 2))
     size, extra = divmod(count, k)
     edges = [b * size + min(b, extra) for b in range(k + 1)]

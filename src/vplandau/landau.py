@@ -30,13 +30,13 @@ The collision right-hand side of the perturbation system,
 :func:`apply_collision_field`, :func:`apply_linearized_collision` and the
 collision substeps of :mod:`vplandau.dynamics` all go through it.
 
-The operator acts in ``v`` alone, so the ``workers`` threads
-(``VPLANDAU_THREADS``) split the spatial nodes into blocks, through
-:func:`vplandau.grid.split_nodes`.  The collision substep calls it once per
-RK4 substep or Picard iteration, and each block runs the whole integrator on
-its nodes through a single-threaded :func:`frozen_collision`;
-:func:`convolve_tables` and :func:`apply_collision_field` split their nodes
-through it too.
+The operator acts in ``v`` alone, so threads split the spatial nodes into
+blocks, through :func:`vplandau.grid.split_nodes`, which reads
+``VPLANDAU_THREADS`` when its caller gives no count.  The collision substep
+calls it once per RK4 substep or Picard iteration, and each block runs the
+whole integrator on its nodes through a single-threaded
+:func:`frozen_collision`; :func:`convolve_tables` and
+:func:`apply_collision_field` split their nodes through it too.
 """
 
 from __future__ import annotations
@@ -273,18 +273,29 @@ class LandauKernelTables:
     ``(9, 2 n_v, 2 n_v, 2 n_v)``: phi^{ij} in the order (11, 22, 33, 12, 13,
     23), then d_j phi^{ij} = -2 |u|^gamma u_i.  Along each axis, index ``0..n``
     holds frequency ``q = 0..n`` (the cos part of the basis) and index
-    ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  ``kappa`` is
-    read-only: kernel data are immutable after construction and shareable
-    across threads; the underscored fields are lazy caches.
+    ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  Construction
+    also computes, once, the nine kernel convolutions of the reference
+    Maxwellian ``mu`` (``mu_conv``, as ``(phi_conv, deriv_conv)``) and its
+    three velocity derivatives (``mu_derivs``).  These arrays and ``kappa``
+    are read-only: kernel data are immutable after construction and
+    shareable across threads; ``_rho_estimate`` is a lazy cache.
     """
 
     gamma: float
     velocity_grid: object
     kappa: np.ndarray
+    mu_conv: tuple = field(init=False, repr=False)
+    mu_derivs: tuple = field(init=False, repr=False)
     epsilon_op: float | None = None
-    _mu_conv: tuple | None = field(default=None, repr=False)
-    _mu_derivs: list | None = field(default=None, repr=False)
     _rho_estimate: float | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        ve = self.velocity_grid
+        mu = maxwellian(ve)
+        self.mu_conv = tuple(tuple(_read_only(c) for c in part) for part
+                             in convolve_tables(self, mu, 1))
+        self.mu_derivs = tuple(_read_only(_v_derivative(ve, mu, j))
+                               for j in range(3))
 
     def sampled_kernels(self):
         """Real-space kernel samples on the centered difference lattice.
@@ -301,7 +312,7 @@ class LandauKernelTables:
     def measure_epsilon_op(self):
         """Equilibrium residual ||Q(mu, mu)|| / ||mu||, measured not assumed."""
         mu = maxwellian(self.velocity_grid)
-        q = q_landau_fft(mu, mu, self)
+        q = q_from_convolutions(self, *self.mu_conv, mu)
         w = self.velocity_grid.node_weight
         num = math.sqrt(float(np.sum(q**2)) * w)
         den = math.sqrt(float(np.sum(mu**2)) * w)
@@ -368,17 +379,18 @@ def _basis(velocity_grid):
     inverse = (forward.T * scale,
                np.concatenate([sin[:n + 1], -cos[n + 1:]]).T * scale)
     table = (cos * np.where(np.arange(n) == 0, 1.0, 2.0), 2.0 * sin)
-
-    def read_only(m):
-        m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        return m
-
-    return (read_only(forward.T), read_only(forward),
-            tuple(read_only(m) for m in inverse),
-            tuple(read_only(m.T * velocity_grid.node_weight)
+    return (_read_only(forward.T), _read_only(forward),
+            tuple(_read_only(m) for m in inverse),
+            tuple(_read_only(m.T * velocity_grid.node_weight)
                   for m in inverse),
-            tuple(read_only(m) for m in table))
+            tuple(_read_only(m) for m in table))
+
+
+def _read_only(m):
+    """``m`` as a contiguous array that refuses writes."""
+    m = np.ascontiguousarray(m)
+    m.flags.writeable = False
+    return m
 
 
 def _scratch(n):
@@ -427,8 +439,8 @@ def convolve_tables(tables, g, workers=None):
     :func:`_basis` (Martucci, IEEE Trans. Signal Process. 42, 1994): a
     field's ``n`` values per axis map to ``2n`` coefficients, each kernel
     multiplies them by its real table ``kappa`` and the inverse products
-    return the ``n^3`` corner.  With ``workers > 1`` the spatial nodes are
-    split over a thread pool (:func:`split_nodes`).
+    return the ``n^3`` corner.  The spatial nodes split over ``workers``
+    threads, ``VPLANDAU_THREADS`` when ``None`` (:func:`split_nodes`).
     """
     n = tables.velocity_grid.n_v
     g = np.asarray(g, dtype=float)
@@ -476,12 +488,8 @@ def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
 
 
 def mu_derivatives(tables):
-    """Cached spectral velocity derivatives of the reference Maxwellian."""
-    if tables._mu_derivs is None:
-        mu = maxwellian(tables.velocity_grid)
-        tables._mu_derivs = [_v_derivative(tables.velocity_grid, mu, j)
-                             for j in range(3)]
-    return tables._mu_derivs
+    """Spectral velocity derivatives of the reference Maxwellian."""
+    return tables.mu_derivs
 
 
 def q_landau_fft(g, f, tables):
@@ -610,11 +618,8 @@ class ConservativeCorrector:
 
 
 def mu_convolutions(tables):
-    """Cached kernel convolutions of the reference Maxwellian."""
-    if tables._mu_conv is None:
-        mu = maxwellian(tables.velocity_grid)
-        tables._mu_conv = convolve_tables(tables, mu)
-    return tables._mu_conv
+    """Kernel convolutions of the reference Maxwellian."""
+    return tables.mu_conv
 
 
 def frozen_collision(tables, s, linearized=False, corrector=None):
@@ -622,27 +627,27 @@ def frozen_collision(tables, s, linearized=False, corrector=None):
 
     Convolves ``s`` once and returns the closure
     ``rhs(f+, f-) = Q(s, mu) + Q(2 mu + s, f_pm)`` (the convolution is linear
-    in its first argument, and the Maxwellian convolutions are cached), with
+    in its first argument, and the tables hold the Maxwellian's), with
     ``f_pm`` shaped like ``s``.  With ``linearized=True`` the closure is
     ``Q(s, mu) + Q(2 mu, f_pm)``, the linearized operator when ``s = f+ +
-    f-``.  The fluxes of ``Q(s, mu)`` are built once, from the cached
+    f-``.  The fluxes of ``Q(s, mu)`` are built once, from the tables'
     Maxwellian derivatives, and added to the ``f_pm`` fluxes, so each call
     takes a single divergence.  A ``corrector`` is applied to every output.
     This is the only place the collision right-hand side is assembled; it
-    runs on the calling thread.
+    runs on the calling thread, since its callers already split the nodes.
     """
     ve = tables.velocity_grid
     mu = maxwellian(ve)
-    phi_s, der_s = convolve_tables(tables, s)
+    phi_s, der_s = convolve_tables(tables, s, 1)
     conv = [c.reshape((-1,) + ve.shape) for c in phi_s + der_s]
-    dmu = mu_derivatives(tables)
+    dmu = tables.mu_derivs
     flux_s_mu = np.empty((3,) + conv[0].shape)
     tmp = np.empty(conv[0].shape)
     for i in range(3):
         _flux(conv[:6], conv[6:], mu, dmu, i, flux_s_mu[i], tmp)
     # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
     # built in place on the fresh s convolutions
-    phi_m, der_m = mu_convolutions(tables)
+    phi_m, der_m = tables.mu_conv
     two_mu = [2.0 * m for m in phi_m + der_m]
     if linearized:
         conv = two_mu
@@ -667,7 +672,8 @@ def apply_collision_field(state, tables, conservative=True, corrector=None,
     """Collision right-hand side of the perturbation system for both species.
 
     ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` at every spatial node, the
-    nodes split over ``workers`` threads (:func:`split_nodes`).  With
+    nodes split over ``workers`` threads, ``VPLANDAU_THREADS`` when ``None``
+    (:func:`split_nodes`).  With
     ``conservative=True`` the moment-matched correction is applied so the
     discrete invariants of the assembled output vanish exactly.
     """

@@ -379,15 +379,16 @@ def _dissipation_norms(pairs, velocity_grid, gamma, work, norms, part):
                                        work[1:, part])
 
 
-def _weighted_sums(state, spec, with_y, workers=None):
+def _weighted_sums(state, spec, with_y):
     """``(X_k, Y_k)`` from one walk of the index pairs per species.
 
     Each species is transformed once, on the calling thread; every
     ``(alpha, beta)`` derivative adds its ``X_k`` term there.  With
     ``with_y`` the ``Y_k`` terms follow in one pass per block of spatial
-    nodes, on ``workers`` threads (:func:`split_nodes`), which write the
-    per-node dissipation norms; their squares reduce pair by pair in node
-    order, so ``Y_k`` does not depend on ``workers``.  Else ``Y_k`` is 0.0.
+    nodes, on the ``VPLANDAU_THREADS`` threads (:func:`split_nodes`), which
+    write the per-node dissipation norms; their squares reduce pair by pair
+    in node order, so ``Y_k`` does not depend on the thread count.  Else
+    ``Y_k`` is 0.0.
     """
     g = state.grid
     if with_y and spec.model != "landau":
@@ -417,7 +418,7 @@ def _weighted_sums(state, spec, with_y, workers=None):
             if with_y:
                 pairs.append((wfs[ab], der.reshape(work.shape[1:])))
         if with_y:
-            split_nodes(nodes, workers, lambda part: _dissipation_norms(
+            split_nodes(nodes, None, lambda part: _dissipation_norms(
                 pairs, g.velocity, spec.gamma, work, norms, part))
             del pairs  # free this species' derivatives before the next's
             for d_norm in norms:
@@ -447,14 +448,15 @@ def functional_D_k(state, spec):
     return energy_dissipation(state, spec)[1]
 
 
-def energy_dissipation(state, spec, with_d_k=True, workers=None):
+def energy_dissipation(state, spec, with_d_k=True):
     """``(E_k, D_k, ||grad phi||^2_{H^3})`` from one transform per species.
 
     ``D_k`` is 0.0 unless ``with_d_k``; its per-node pass splits the spatial
-    nodes over ``workers`` threads, with the same result for any count.
+    nodes over the ``VPLANDAU_THREADS`` threads, with the same result for any
+    count.
     """
     h3 = h3_grad_norm_sq(state.grid.spatial, state.phi)
-    x_k, y_k = _weighted_sums(state, spec, with_d_k, workers)
+    x_k, y_k = _weighted_sums(state, spec, with_d_k)
     return x_k + h3, (y_k + h3 if with_d_k else 0.0), h3
 
 

@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from vplandau import grid as grid_mod
 from vplandau import landau, weights
 from vplandau.diagnostics import (
     CSV_COLUMNS,
@@ -199,7 +201,7 @@ class TestRecorder:
                                                   monkeypatch, compute_d_k):
         # E_k, D_k and the H^3 field norm share one set of mixed
         # derivatives per species, whether the D_k pass runs on one thread
-        # or on two
+        # or on two; on two it starts one pool per species
         spec = weights.WeightSpec("landau", -3.0, 10.0)
         st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
         moved = transport_step(st, 0.01)
@@ -211,21 +213,38 @@ class TestRecorder:
             return derivatives(grid, values, indices)
 
         monkeypatch.setattr(weights, "mixed_derivatives", counted)
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
         d_ks = []
         for threads in ("1", "2"):
             monkeypatch.setenv("VPLANDAU_THREADS", threads)
             rec = Recorder(spec, st.clone(), compute_d_k=compute_d_k)
-            assert rec.workers == int(threads)
             calls.clear()
+            pools.clear()
             rec.record_state(moved)
             assert len(calls) == 2
+            assert len(pools) == (2 * (int(threads) - 1) if compute_d_k
+                                  else 0)
             d_ks.append(rec.records[-1].d_k)
         assert (d_ks[0] > 0.0) == compute_d_k
         assert d_ks[0] == d_ks[1]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_thread_count_refused(self, small_grid, monkeypatch, value):
+        # the first record's D_k pass splits the nodes, and so does every
+        # collision substep: both read the variable there
+        tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
+                                            measure=False)
         monkeypatch.setenv("VPLANDAU_THREADS", value)
         spec = weights.WeightSpec("landau", -3.0, 10.0)
         with pytest.raises(ValueError, match="VPLANDAU_THREADS"):
-            Recorder(spec, SystemState.zero(small_grid), compute_d_k=False)
+            Recorder(spec, SystemState.zero(small_grid), compute_d_k=True)
+        with pytest.raises(ValueError, match="VPLANDAU_THREADS"):
+            advance(SystemState.zero(small_grid), 0.01,
+                    TimeStepConfig(dt=0.01), tables)

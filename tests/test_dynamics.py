@@ -400,6 +400,33 @@ class TestWorkers:
         assert len(pools) == (iterations if scheme == "picard_implicit"
                               else 1)
 
+    @SCHEMES
+    def test_thread_count_from_environment(self, uneven, scheme, dt,
+                                           monkeypatch):
+        # with no count in TimeStepConfig the collision substep takes
+        # VPLANDAU_THREADS: one pool per RK4 substep or Picard iteration,
+        # each started on the calling thread with one thread.  On 8 nodes a
+        # second split inside a block (4 nodes) would start more pools.
+        st, tables = uneven
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(threading.current_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
+        monkeypatch.setenv("VPLANDAU_THREADS", "2")
+        out, iterations, _ = collision_step(st, dt, TimeStepConfig(dt=dt,
+                                            scheme=scheme), tables)
+        assert len(pools) == (iterations if scheme == "picard_implicit"
+                              else 1)
+        assert all(t is threading.main_thread() for t in pools)
+        monkeypatch.delenv("VPLANDAU_THREADS")
+        one = collision_step(st, dt, TimeStepConfig(dt=dt, scheme=scheme),
+                             tables)[0]
+        self.assert_identical(out, one)
+
     def test_no_thread_outlives_advance(self):
         grid = PhaseGrid(SpatialGrid(1, 4), VelocityGrid(8, 4.0))
         st = make_initial_condition(grid, amplitude=1e-3, seed=6)

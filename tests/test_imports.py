@@ -2,8 +2,9 @@
 and none of them reaches scipy: numpy.fft is the one transform library.
 The collision operator uses none: its kernel tables and convolutions are
 real matrix products.  One function, ``grid.split_nodes``, holds the
-thread pool, and one, ``experiments.run_experiment``, makes the output
-directory and writes the summary."""
+thread pool and reads the thread count, and one,
+``experiments.run_experiment``, makes the output directory and writes the
+summary."""
 
 import ast
 import subprocess
@@ -153,6 +154,14 @@ def package_readers(name):
 
 def test_one_function_holds_the_thread_pool():
     assert package_readers("ThreadPoolExecutor") == [("grid", "split_nodes")]
+
+
+def test_thread_count_read_where_the_nodes_split():
+    # a run reads VPLANDAU_THREADS where it splits the nodes; the config
+    # reads it to validate and echo it
+    assert package_readers("threads_from_env") == [
+        ("config", "parse_config"), ("grid", "split_nodes")]
+    assert package_readers("environ") == [("grid", "threads_from_env")]
 
 
 @pytest.mark.parametrize("name", ["summary_to_json", "makedirs"])

@@ -113,14 +113,29 @@ class TestKernelTables:
 
 
     def test_kernel_data_read_only_and_caches_declared(self):
-        tables = build_kernel_tables(0.0, VelocityGrid(8, 6.0), measure=False)
+        # the Maxwellian's convolutions and derivatives are built with the
+        # tables, read-only; the stiffness estimate is the one lazy cache
+        ve = VelocityGrid(8, 6.0)
+        tables = build_kernel_tables(0.0, ve, measure=False)
         assert tables.kappa.shape == (9, 16, 16, 16)
         assert tables.kappa.dtype == np.float64
-        assert not tables.kappa.flags.writeable
-        with pytest.raises(ValueError):
-            tables.kappa[0, 0, 0, 0] = 1.0
+        phi_mu, der_mu = tables.mu_conv
+        assert (len(phi_mu), len(der_mu), len(tables.mu_derivs)) == (6, 3, 3)
+        for data in (tables.kappa, *phi_mu, *der_mu, *tables.mu_derivs):
+            assert not data.flags.writeable
+            with pytest.raises(ValueError):
+                data[0, 0, 0] = 1.0
+        mu = maxwellian(ve)
+        want = convolve_tables(tables, mu)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(phi_mu + der_mu, want[0] + want[1]))
+        assert all(np.array_equal(d, landau._v_derivative(ve, mu, j))
+                   for j, d in enumerate(tables.mu_derivs))
+        assert landau.mu_convolutions(tables) is tables.mu_conv
+        assert landau.mu_derivatives(tables) is tables.mu_derivs
         declared = {f.name for f in dataclasses.fields(LandauKernelTables)}
-        assert {"_mu_conv", "_mu_derivs", "_rho_estimate"} <= declared
+        assert "_rho_estimate" in declared
+        assert not {"_mu_conv", "_mu_derivs"} & declared
 
     @pytest.mark.parametrize("nv", [8, 16])
     @pytest.mark.parametrize("gamma", [-3.0, -1.0, 0.0, 1.0])
@@ -447,7 +462,6 @@ class TestFrozenCollision:
 
     def test_one_divergence_per_right_hand_side(self, setup, monkeypatch):
         tables, s, fp, fm = setup
-        landau.mu_derivatives(tables)  # filled once per tables
         calls = []
         derivative = landau._v_derivative
 

@@ -453,8 +453,9 @@ class TestSharedPass:
         assert _rel(d_k, d_ref) <= 2.0 * spread_d
 
     def test_bit_identical_across_workers(self, small_grid, monkeypatch):
-        # the D_k pass splits the 8 nodes into 1, 2 and 3 blocks, once per
-        # species; the per-node norms reduce in node order either way
+        # at VPLANDAU_THREADS 1, 2 and 3 the D_k pass splits the 8 nodes
+        # into 1, 2 and 3 blocks, once per species; the per-node norms
+        # reduce in node order either way
         pools = []
 
         class Counted(ThreadPoolExecutor):
@@ -463,6 +464,7 @@ class TestSharedPass:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
+        monkeypatch.delenv("VPLANDAU_THREADS", raising=False)
         tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
                                             measure=False)
         state = advance(
@@ -472,16 +474,19 @@ class TestSharedPass:
         # a 1 us switch interval interleaves the blocks' threads finely
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        results = []
         try:
-            one, two, three = (energy_dissipation(state, spec, workers=w)
-                               for w in (1, 2, 3))
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("VPLANDAU_THREADS", threads)
+                results.append(energy_dissipation(state, spec))
         finally:
             sys.setswitchinterval(interval)
+        one, two, three = results
         assert one[1] > 0.0
         assert [x.hex() for x in one] == [x.hex() for x in two] \
             == [x.hex() for x in three]
         assert len(pools) == 4
-        assert energy_dissipation(state, spec, with_d_k=False, workers=3) \
+        assert energy_dissipation(state, spec, with_d_k=False) \
             == (one[0], 0.0, one[2])
         assert len(pools) == 4  # the E_k-only pass starts no thread
 
