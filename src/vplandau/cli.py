@@ -46,7 +46,7 @@ def _cmd_run(args, forced_mode=None):
         overrides["flags.mode"] = forced_mode
     cfg = load_config(args.config, overrides)
     summary, passed = run_experiment(cfg)
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True, default=str)
+    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if passed else 1
 

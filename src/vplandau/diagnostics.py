@@ -120,6 +120,12 @@ class Recorder:
     are evaluated only on recorded steps.  The ``D_k`` pass splits the
     spatial nodes over the ``VPLANDAU_THREADS`` threads
     (:func:`vplandau.grid.split_nodes`).
+
+    The recorder keeps the last state it was handed, not a copy, as the
+    left end of the next moment-balance residual.  That is safe because
+    :func:`vplandau.dynamics.advance` never changes a state after handing
+    it to the sink; a caller that mutates a recorded state in place must
+    pass a copy.
     """
 
     def __init__(self, spec, reference_state, cadence=1, epsilon_op=0.0,
@@ -133,7 +139,6 @@ class Recorder:
         self.records = []
         self.reference = reference_state
         self._prev = reference_state
-        self._prev_time = reference_state.time
         self.record_state(reference_state, picard_iterations=0)
 
     def record_state(self, state, picard_iterations=0):
@@ -143,10 +148,10 @@ class Recorder:
             with_d_k=self.compute_d_k and self.spec.model == "landau")
         n_p, n_i = projection_split_norms(state)
         pos = positivity_monitor(state)
-        if state.time == self._prev_time:
+        if state.time == self._prev.time:
             bal = (0.0, 0.0)
         else:
-            dt = state.time - self._prev_time
+            dt = state.time - self._prev.time
             bal = moment_balance_residual(self._prev, state, dt)
         rec = DiagnosticsRecord(
             time=state.time,
@@ -169,8 +174,7 @@ class Recorder:
             epsilon_op=self.epsilon_op,
         )
         self.records.append(rec)
-        self._prev = state.clone()
-        self._prev_time = state.time
+        self._prev = state
         return rec
 
     def __call__(self, state, info):
@@ -223,7 +227,8 @@ def fit_decay(times, values, mode, window=None, transient_fraction=0.1):
     ``log E`` on ``log(1 + t)`` and reports the slope itself (negative for
     decay).  The fit window excludes the initial transient (first 10% of the
     span by default) unless an explicit ``window`` is given, and must hold
-    at least ``FIT_MIN_SAMPLES`` samples.
+    at least ``FIT_MIN_SAMPLES`` samples, all finite and positive; otherwise
+    :class:`~vplandau.errors.FitError` is raised.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(values, dtype=float)
@@ -235,6 +240,8 @@ def fit_decay(times, values, mode, window=None, transient_fraction=0.1):
     if t.size < FIT_MIN_SAMPLES:
         raise FitError(
             f"need >= {FIT_MIN_SAMPLES} samples in window, got {t.size}")
+    if not np.all(np.isfinite(e)):
+        raise FitError("non-finite values in fit window")
     if np.any(e <= 0):
         raise FitError("non-positive values in fit window")
     y = np.log(e)
@@ -328,16 +335,10 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
 
 
 def summary_to_json(path, payload):
-    """Write an analysis summary (fits, drifts, flags) as JSON."""
+    """Write an analysis summary (fits, drifts, flags) as JSON.
 
-    def default(obj):
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if hasattr(obj, "__dict__"):
-            return obj.__dict__
-        raise TypeError(f"not JSON serializable: {type(obj)}")
-
+    The payload holds plain Python values only (dicts, lists, strings,
+    numbers, booleans, ``None``); anything else raises ``TypeError``.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        json.dump(payload, fh, indent=2, sort_keys=True)

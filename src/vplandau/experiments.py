@@ -32,6 +32,7 @@ import numpy as np
 
 from . import diagnostics, dynamics, initial, landau, verify
 from .config import defaults
+from .errors import FitError
 from .grid import PhaseGrid, SpatialGrid, VelocityGrid
 from .state import check_conservation, maxwellian, save_checkpoint
 
@@ -130,7 +131,7 @@ def _set_up(cfg):
 def nonlinear_run(cfg):
     """Full-system evolution with diagnostics; returns (body, passed)."""
     spec, tables, state, rescue = _set_up(cfg)
-    recorder = diagnostics.Recorder(spec, state.clone(),
+    recorder = diagnostics.Recorder(spec, state,
                                     cadence=cfg.record_every,
                                     epsilon_op=tables.epsilon_op)
     tcfg = dynamics.TimeStepConfig(
@@ -158,7 +159,7 @@ def nonlinear_run(cfg):
         try:
             fits[mode] = asdict(diagnostics.fit_decay(
                 times, eks, mode, transient_fraction=cfg.transient_fraction))
-        except Exception as exc:  # short series: fits are advisory here
+        except FitError as exc:  # short or non-finite series: advisory here
             fits[mode] = {"error": str(exc)}
     if cfg.gamma >= 0 and "exponential" in fits and "rate" in fits["exponential"]:
         flags["decay"] = (fits["exponential"]["rate"] > 0

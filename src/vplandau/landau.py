@@ -514,19 +514,6 @@ def q_landau_fft(g, f, tables):
 # ---- direct-quadrature oracle -----------------------------------------------
 
 _ORACLE_MAX = 16
-@lru_cache(maxsize=None)
-def _pair_flat_index(n):
-    """Flat index of ``v_a - v_b`` into the (2n-1)^3 kernel cube, cached."""
-    m = 2 * n - 1
-    idx = np.arange(n, dtype=np.int32)
-    off = idx[:, None] - idx[None, :] + np.int32(n - 1)  # (n, n), 0..2n-2
-    a1, a2, a3 = np.unravel_index(np.arange(n**3), (n, n, n))
-    flat = off[a1[:, None], a1[None, :]].astype(np.int32)
-    flat *= m
-    flat += off[a2[:, None], a2[None, :]]
-    flat *= m
-    flat += off[a3[:, None], a3[None, :]]
-    return flat
 
 
 def _direct_convolve(kernel_cube, g, weight):
@@ -534,9 +521,13 @@ def _direct_convolve(kernel_cube, g, weight):
 
     ``out[a] = sum_b kernel((v_a - v_b)) g[b] * weight`` with the kernel
     sampled on the centered (2n-1)^3 difference cube, as one dense
-    node-pair matrix.
+    node-pair matrix: the n^3-windows of the reversed cube, reversed back
+    along the window offsets, hold ``kernel[a - b + n - 1]`` at ``(a, b)``.
     """
-    mat = kernel_cube.ravel()[_pair_flat_index(g.shape[0])]
+    n = g.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        kernel_cube[::-1, ::-1, ::-1], (n, n, n))
+    mat = windows[::-1, ::-1, ::-1].reshape(n**3, n**3)
     return (mat @ g.ravel()).reshape(g.shape) * weight
 
 
@@ -562,13 +553,13 @@ def q_landau_direct(g, f, gamma, velocity_grid):
     phis, derivs = _kernel_components(gamma, _centred_lattice(velocity_grid),
                                       velocity_grid)
     w = velocity_grid.node_weight
+    phi_conv = [_direct_convolve(k, g, w) for k in phis]
     df = [_v_derivative(velocity_grid, f, j) for j in range(3)]
     out = np.zeros_like(f)
     for i in range(3):
         flux = np.zeros_like(f)
         for j in range(3):
-            kernel = phis[_PAIR_INDEX[i, j]]
-            flux += _direct_convolve(kernel, g, w) * df[j]
+            flux += phi_conv[_PAIR_INDEX[i, j]] * df[j]
         flux -= _direct_convolve(derivs[i], g, w) * f
         out += _v_derivative(velocity_grid, flux, i)
     return out

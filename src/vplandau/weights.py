@@ -306,23 +306,12 @@ def landau_D_norm(values, velocity_grid, gamma, work=None):
 
 def mixed_indices(dim_x):
     """All (alpha, beta) multi-index pairs with |alpha| + |beta| <=
-    ``WEIGHT_MAX_ORDER``."""
-    alphas = []
-    for total in range(WEIGHT_MAX_ORDER + 1):
-        for combo in product(range(total + 1), repeat=dim_x):
-            if sum(combo) == total:
-                alphas.append(combo)
-    betas = []
-    for total in range(WEIGHT_MAX_ORDER + 1):
-        for combo in product(range(total + 1), repeat=3):
-            if sum(combo) == total:
-                betas.append(combo)
-    out = []
-    for al in alphas:
-        for be in betas:
-            if sum(al) + sum(be) <= WEIGHT_MAX_ORDER:
-                out.append((al, be))
-    return out
+    ``WEIGHT_MAX_ORDER``, each of alpha and beta ordered by total order,
+    then lexicographically."""
+    alphas, betas = (sorted(product(range(WEIGHT_MAX_ORDER + 1), repeat=n),
+                            key=sum) for n in (dim_x, 3))
+    return [(al, be) for al in alphas for be in betas
+            if sum(al) + sum(be) <= WEIGHT_MAX_ORDER]
 
 
 def mixed_derivatives(grid, values, indices):

@@ -391,6 +391,25 @@ amplitude = 1e-4
             "requested_amplitude": 1e-4, "effective_amplitude": 1e-4,
             "halvings": 0}
 
+    def test_nonlinear_fit_bug_is_not_swallowed(self, tmp_path, monkeypatch):
+        # a FitError (short series) is recorded in the summary; any other
+        # exception out of the fits fails the run
+        from vplandau import diagnostics
+        from vplandau.experiments import run_experiment
+
+        cfg = parse_config(self.LINEARIZED + f"[output]\ndirectory = "
+                           f"{tmp_path}\n", overrides={
+                               "flags.mode": "nonlinear",
+                               "time.t_final": "0.02"})
+        summary, _ = run_experiment(cfg)
+        assert "samples" in summary["fits"]["exponential"]["error"]
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the fit")
+
+        monkeypatch.setattr(diagnostics, "fit_decay", broken)
+        with pytest.raises(TypeError, match="bug inside the fit"):
+            run_experiment(cfg)
 
     LINEARIZED = MINIMAL.replace("n_v = 16", "n_x = 4\nn_v = 8") + """
 [time]

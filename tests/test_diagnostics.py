@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vplandau import grid as grid_mod
-from vplandau import landau, weights
+from vplandau import landau, poisson, weights
 from vplandau.diagnostics import (
     CSV_COLUMNS,
     Recorder,
@@ -61,6 +61,14 @@ class TestFitDecay:
         vals = np.exp(-t)
         vals[30] = -1.0
         with pytest.raises(FitError):
+            fit_decay(t, vals, "exponential")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_refused(self, bad):
+        t = np.linspace(0, 5, 50)
+        vals = np.exp(-t)
+        vals[-1] = bad
+        with pytest.raises(FitError, match="non-finite"):
             fit_decay(t, vals, "exponential")
 
     def test_transient_exclusion_default(self):
@@ -195,6 +203,26 @@ class TestRecorder:
             warnings.simplefilter("error", RuntimeWarning)
             again = rec.record_state(moved.clone())
         assert again.balance_plus == 0.0 and again.balance_minus == 0.0
+
+    def test_record_solves_no_poisson_problem(self, small_grid,
+                                              monkeypatch):
+        # the recorder keeps the state it is handed; a copy would solve
+        # the copy's potential again
+        spec = weights.WeightSpec("landau", -3.0, 10.0)
+        st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
+        rec = Recorder(spec, st, compute_d_k=False)
+        moved = transport_step(st, 0.01)
+        solves = []
+        solve = poisson.solve_potential
+
+        def counted(spatial, rho):
+            solves.append(rho)
+            return solve(spatial, rho)
+
+        monkeypatch.setattr(poisson, "solve_potential", counted)
+        rec.record_state(moved)
+        assert solves == []
+        assert rec.records[-1].balance_plus > 0.0
 
     @pytest.mark.parametrize("compute_d_k", [True, False])
     def test_one_transform_per_species_and_record(self, small_grid,

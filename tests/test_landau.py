@@ -364,6 +364,39 @@ class TestQEvaluation:
             qd = q_landau_direct(g, f, gamma, ve)
             assert vnorm(ve, qf - qd) <= 1e-8 * vnorm(ve, qd)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_direct_convolve_is_the_pair_sum(self, parity):
+        # column b of the dense node-pair matrix, read off with the unit
+        # field at b, is kernel[a - b + n - 1] at every node a
+        n = 4
+        ve = VelocityGrid(n, 4.0)
+        phis, derivs = landau._kernel_components(
+            -1.0, landau._centred_lattice(ve), ve)
+        kernel = phis[0] if parity == "even" else derivs[0]
+        nodes = list(np.ndindex(n, n, n))
+        for b in nodes:
+            unit = np.zeros(ve.shape)
+            unit[b] = 1.0
+            ref = np.zeros(ve.shape)
+            for a in nodes:
+                ref[a] = kernel[tuple(np.subtract(a, b) + n - 1)] * 0.5
+            assert np.array_equal(landau._direct_convolve(kernel, unit, 0.5),
+                                  ref)
+
+    def test_oracle_convolves_each_kernel_once(self, rng, monkeypatch):
+        ve = VelocityGrid(4, 4.0)
+        calls = []
+        convolve = landau._direct_convolve
+
+        def counted(kernel, g, weight):
+            calls.append(kernel)
+            return convolve(kernel, g, weight)
+
+        monkeypatch.setattr(landau, "_direct_convolve", counted)
+        g = random_bandlimited_v(rng, ve)
+        q_landau_direct(g, g, -3.0, ve)
+        assert len(calls) == 9
+
     def test_oracle_cost_guard(self, rng):
         ve = VelocityGrid(32, 8.0)
         g = np.zeros(ve.shape)

@@ -512,6 +512,16 @@ class TestSharedPass:
         zero = ((0,) * dim_x, (0, 0, 0))
         assert ders[zero] is f
 
+    @pytest.mark.parametrize("dim_x, pairs", [(1, 15), (2, 21), (3, 28)])
+    def test_mixed_index_order(self, dim_x, pairs):
+        # X_k sums over the pairs in this order: alpha by total order, then
+        # lexicographically, and within one alpha the same rule for beta
+        got = mixed_indices(dim_x)
+        assert len(set(got)) == len(got) == pairs
+        assert all(sum(al) + sum(be) <= 2 for al, be in got)
+        assert got == sorted(got, key=lambda ab: (sum(ab[0]), ab[0],
+                                                  sum(ab[1]), ab[1]))
+
 
 # ---- outputs do not depend on the BLAS thread count ---------------------------
 
