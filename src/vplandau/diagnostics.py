@@ -117,9 +117,10 @@ class Recorder:
 
     Appends a :class:`DiagnosticsRecord` every ``cadence`` steps (plus an
     initial record for the starting state); heavier functionals (E_k, D_k)
-    are evaluated only on recorded steps.  The ``D_k`` pass splits the
-    spatial nodes over the ``VPLANDAU_THREADS`` threads
-    (:func:`vplandau.grid.split_nodes`).
+    are evaluated only on recorded steps.  With ``compute_d_k`` they come
+    from one pass per species that splits the spatial nodes over the
+    ``VPLANDAU_THREADS`` threads (:func:`vplandau.weights.energy_dissipation`);
+    without, ``E_k`` alone runs on the calling thread.
 
     The recorder keeps the last state it was handed, not a copy, as the
     left end of the next moment-balance residual.  That is safe because

@@ -166,6 +166,9 @@ def nonlinear_run(cfg):
                           and fits["exponential"]["r_squared"] >= 0.99)
     min_pos = min(recorder.series("min_fplus").min(),
                   recorder.series("min_fminus").min())
+    # the weighted energy's largest growth over the run; a zero state has
+    # no ratio
+    e_k0 = float(eks[0])
     body = {
         "conservation": {
             "mass_plus": report.rel_mass_plus,
@@ -175,6 +178,7 @@ def nonlinear_run(cfg):
             "max_relative_drift": report.max_relative_drift(),
         },
         "fits": fits,
+        "e_k_max_ratio": float(eks.max()) / e_k0 if e_k0 > 0 else None,
         "epsilon_op": tables.epsilon_op,
         "min_full_distribution": float(min_pos),
         "positivity_maintained": bool(min_pos > 0),

@@ -30,9 +30,9 @@ Conventions used throughout the package:
   the quadrature L2 norm below and the coefficient norm agree up to
   roundoff.
 * Operators that act in ``v`` alone split the spatial nodes over threads
-  in one helper, :func:`split_nodes`: the collision substep and the ``D_k``
-  pass of the diagnostics record.  It is the one place in a run that reads
-  ``VPLANDAU_THREADS`` (:func:`threads_from_env`).
+  in one helper, :func:`split_nodes`: the collision substep and the
+  diagnostics record's pass over ``E_k`` and ``D_k``.  It is the one place
+  in a run that reads ``VPLANDAU_THREADS`` (:func:`threads_from_env`).
 * Quadrature is the uniform-weight (trapezoid-equivalent on a periodic grid)
   sum: cell volume ``(length/n_x)^dim_x * (2L/n_v)^3``.
 """

@@ -18,6 +18,14 @@ they scale quadratically), and the Landau dissipation norm of a velocity
 field is ``||f m <v>^{gamma/2}|| + ||grad_tilde(m f) <v>^{gamma/2}||`` with
 the anisotropic gradient ``grad_tilde = P_v grad + <v> (I - P_v) grad``,
 ``P_v`` the radial projector.
+
+``E_k`` and ``D_k`` come from one pass per species and block of spatial
+nodes (:func:`energy_dissipation`).  The spatial derivatives couple the
+nodes and are taken on the whole grid first; each block then walks the
+index pairs in order, forming one pair's velocity derivative at a time in
+a small workspace, and writes that pair's per-node ``X_k`` term and
+dissipation norm.  The sums reduce pair by pair in node order, so they do
+not depend on how the nodes split.
 """
 
 from __future__ import annotations
@@ -131,14 +139,20 @@ def weight_A(spec, a_order, b_order):
     return 2.0 * weight_exponent(spec, a_order, b_order)
 
 
-def exp_weight_field(spec, grid, a_order, b_order, phi, sign=+1):
-    """Space-velocity weight ``exp(sign * A phi(x) / <v>^2)`` on the phase grid."""
+def exp_weight_field(spec, grid, a_order, b_order, phi, sign=+1, out=None):
+    """Space-velocity weight ``exp(sign * A phi(x) / <v>^2)`` on the phase grid.
+
+    ``phi`` holds the potential on spatial nodes, shaped like the spatial
+    grid or as a flat block of nodes; velocity axes follow its axes.
+    ``out``, shaped like the result, takes it in place of a new array.
+    """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     a_const = weight_A(spec, a_order, b_order)
     br2 = 1.0 + grid.velocity.speed_squared()
     xpad = (...,) + (None, None, None)
-    return np.exp(sign * a_const * np.asarray(phi)[xpad] / br2)
+    out = np.divide(sign * a_const * np.asarray(phi)[xpad], br2, out=out)
+    return np.exp(out, out=out)
 
 
 # ladder ratio R: the constants ``C[a][b] = R^(2a+b)`` order the derivative
@@ -265,8 +279,9 @@ def _dissipation_factors(velocity_grid, gamma):
 
 
 def _v_sum(a, b, weight):
-    """``sum_v a b weight`` over the trailing three axes, in one pass."""
-    return np.einsum("...ijk,...ijk,ijk->...", a, b, weight)
+    """``sum_v a b weight`` over the trailing three axes, in one pass;
+    ``weight`` carries the velocity axes alone or all of ``a``'s."""
+    return np.einsum("...ijk,...ijk,...ijk->...", a, b, weight)
 
 
 def landau_D_norm(values, velocity_grid, gamma, work=None):
@@ -280,8 +295,8 @@ def landau_D_norm(values, velocity_grid, gamma, work=None):
     one axis at a time.  ``work``, two C-contiguous arrays shaped like
     ``values`` (or one array of both), holds that gradient and
     ``v . grad f``; it is allocated when omitted.  The diagnostics record
-    calls this per block of spatial nodes, on the ``VPLANDAU_THREADS``
-    threads (:func:`_weighted_sums`).
+    calls this per index pair and block of spatial nodes, on the
+    ``VPLANDAU_THREADS`` threads (:func:`_block_sums`).
     """
     w = velocity_grid.node_weight
     br_g, br_g2, *vs = _dissipation_factors(velocity_grid, gamma)
@@ -314,31 +329,66 @@ def mixed_indices(dim_x):
             if sum(al) + sum(be) <= WEIGHT_MAX_ORDER]
 
 
-def mixed_derivatives(grid, values, indices):
-    """Spectral ``d^alpha_beta`` (``|alpha| + |beta| <= 2``) per index pair.
+def _axes(multi_index):
+    """The array axes of a multi-index, each repeated by its order."""
+    return [a for a, o in enumerate(multi_index) for _ in range(o)]
+
+
+def spatial_derivatives(grid, values):
+    """``{alpha: d^alpha_x f}`` for every alpha of :func:`mixed_indices`,
+    spatial nodes flattened to one axis: ``(nodes, n_v, n_v, n_v)`` each.
 
     A pure derivative is one :func:`axis_derivative` of its order (the
     order-2 matrix keeps the Nyquist entry); a mixed one differentiates the
-    first-order derivative along its first axis along its second.  The
-    ``(0, 0)`` pair is ``values`` itself.
+    first-order derivative along its first axis along its second.  These
+    couple the spatial nodes, so they are taken on the whole grid, before
+    :func:`mixed_derivatives` walks a block of nodes.  ``alpha = 0`` is
+    ``values`` itself.
     """
     grid.check_shape(values, "xv")
-
-    @lru_cache(maxsize=None)
-    def pure(axis, order):
-        return axis_derivative(grid.axis_grid(axis), values, axis, order)
-
     out = {}
-    for al, be in indices:
-        axes = [a for a, o in enumerate(al + be) for _ in range(o)]
+    for al in dict.fromkeys(al for al, _ in mixed_indices(grid.dim_x)):
+        axes = _axes(al)
         if not axes:
-            out[(al, be)] = values
+            out[al] = values
         elif len(set(axes)) == 1:
-            out[(al, be)] = pure(axes[0], len(axes))
+            out[al] = axis_derivative(grid.spatial, values, axes[0],
+                                      len(axes))
         else:
-            a, b = axes
-            out[(al, be)] = axis_derivative(grid.axis_grid(b), pure(a, 1), b)
-    return out
+            unit = tuple(int(a == axes[0]) for a in range(grid.dim_x))
+            out[al] = axis_derivative(grid.spatial, out[unit], axes[1])
+    return {al: der.reshape((-1,) + grid.velocity.shape)
+            for al, der in out.items()}
+
+
+def mixed_derivatives(grid, x_ders, part, work):
+    """Yield ``((alpha, beta), d^alpha_beta f)`` on the spatial nodes
+    ``part``, pair by pair in :func:`mixed_indices` order.
+
+    ``x_ders`` is :func:`spatial_derivatives` of ``f``; the velocity axes
+    follow its rule, one :func:`axis_derivative` of the block's nodes each.
+    ``work`` holds four C-contiguous arrays shaped like the block: the
+    three first-order velocity derivatives, kept for the mixed velocity
+    pairs that differentiate them, and one buffer that the other velocity
+    derivatives stream through.  A yielded array is overwritten by a later
+    pair's, so it is read before the walk resumes.
+    """
+    dv, stream = work[:3], work[3]
+    for al, be in mixed_indices(grid.dim_x):
+        # velocity axes count from 0; spatial ones come first, negative
+        axes = [a - grid.dim_x for a in _axes(al + be)]
+        der = x_ders[al][part]
+        if axes and axes[-1] >= 0:
+            b = axes[-1]
+            if axes == [b, b]:
+                der = axis_derivative(grid.velocity, der, b - 3, 2,
+                                      out=stream)
+            else:
+                if len(axes) == 2 and axes[0] >= 0:
+                    der = dv[axes[0]]
+                der = axis_derivative(grid.velocity, der, b - 3,
+                                      out=dv[b] if len(axes) == 1 else stream)
+        yield (al, be), der
 
 
 # ---- energy and dissipation functionals ----------------------------------------
@@ -354,64 +404,68 @@ def _weight_fields(velocity_grid, spec):
     return MappingProxyType(out)
 
 
-def _dissipation_norms(pairs, velocity_grid, gamma, work, norms, part):
-    """:func:`landau_D_norm` of ``wf * der`` per ``(wf, der)`` of ``pairs``
-    on the spatial nodes ``part``, into ``norms[pair, node]``.
+def _block_sums(state, spec, sign, x_ders, work, x_terms, norms, part):
+    """The ``X_k`` terms and, with ``norms``, the dissipation norms of one
+    species on the spatial nodes ``part``, per index pair and node, into
+    ``x_terms[pair, node]`` and ``norms[pair, node]``.
 
-    ``work`` holds ``wf * der``, the gradient and ``v . grad`` of every node;
-    the block uses its slice.
+    ``work`` is the record's workspace; the block uses its slice: four
+    arrays for :func:`mixed_derivatives`, the ``X_k`` weight of the current
+    ``(|alpha|, |beta|)``, and with ``norms`` ``w * der``, the gradient and
+    ``v . grad``.
     """
-    u = work[0, part]
-    for p, (wf, der) in enumerate(pairs):
-        np.multiply(der[part], wf, out=u)
-        norms[p, part] = landau_D_norm(u, velocity_grid, gamma,
-                                       work[1:, part])
+    g = state.grid
+    wfs = _weight_fields(g.velocity, spec)
+    phi = state.phi.reshape(-1)[part]
+    weight = work[4, part]
+    last = None
+    ders = mixed_derivatives(g, x_ders, part, work[:4, part])
+    for p, ((al, be), der) in enumerate(ders):
+        ab = (sum(al), sum(be))
+        if ab != last:  # pairs of one (|alpha|, |beta|) are adjacent
+            # ladder constant times the squared weight of the X_k term
+            exp_weight_field(spec, g, *ab, phi, sign, out=weight)
+            weight *= wfs[ab]
+            np.square(weight, out=weight)
+            weight *= ladder_constant(*ab)
+            last = ab
+        x_terms[p, part] = _v_sum(der, der, weight)
+        if norms is not None:
+            u = np.multiply(der, wfs[ab], out=work[5, part])
+            norms[p, part] = landau_D_norm(u, g.velocity, spec.gamma,
+                                           work[6:, part])
 
 
 def _weighted_sums(state, spec, with_y):
-    """``(X_k, Y_k)`` from one walk of the index pairs per species.
+    """``(X_k, Y_k)`` from one pass per species and block of spatial nodes.
 
-    Each species is transformed once, on the calling thread; every
-    ``(alpha, beta)`` derivative adds its ``X_k`` term there.  With
-    ``with_y`` the ``Y_k`` terms follow in one pass per block of spatial
-    nodes, on the ``VPLANDAU_THREADS`` threads (:func:`split_nodes`), which
-    write the per-node dissipation norms; their squares reduce pair by pair
-    in node order, so ``Y_k`` does not depend on the thread count.  Else
-    ``Y_k`` is 0.0.
+    The calling thread takes each species' :func:`spatial_derivatives`.
+    With ``with_y`` the blocks then run on the ``VPLANDAU_THREADS`` threads
+    (:func:`split_nodes`, one pool per species); without, :func:`split_nodes`
+    gets one thread, so the whole grid is one block on the calling thread.
+    Each block walks the index pairs once (:func:`_block_sums`) and writes
+    per-node ``X_k`` terms and dissipation norms; the calling thread
+    reduces them pair by pair in node order, so neither sum depends on the
+    thread count.  Without ``with_y``, ``Y_k`` is 0.0.
     """
     g = state.grid
     if with_y and spec.model != "landau":
         raise ParameterError(
             "Y_k dissipation norm is implemented for the Landau model only")
-    wfs = _weight_fields(g.velocity, spec)
-    indices = mixed_indices(g.dim_x)
-    wx = g.spatial.cell_volume
-    if with_y:
-        # wf * der, a gradient and v . grad per node; the norms per pair
-        nodes = math.prod(g.spatial.shape)
-        work = np.empty((3, nodes) + g.velocity.shape)
-        norms = np.empty((len(indices), nodes))
+    nodes = math.prod(g.spatial.shape)
+    work = np.empty((8 if with_y else 5, nodes) + g.velocity.shape)
+    x_terms = np.empty((len(mixed_indices(g.dim_x)), nodes))
+    norms = np.empty_like(x_terms) if with_y else None
     x_total = y_total = 0.0
     for sign, f in ((+1, state.f_plus), (-1, state.f_minus)):
-        # ladder constant times the squared weight of each X_k term
-        x_weights = {
-            ab: ladder_constant(*ab)
-            * (exp_weight_field(spec, g, *ab, state.phi, sign) * wf) ** 2
-            for ab, wf in wfs.items()}
-        pairs = []
-        for (al, be), der in mixed_derivatives(g, f, indices).items():
-            ab = (sum(al), sum(be))
-            d = der.ravel()
-            x_total += float(np.einsum("i,i,i->", d, d,
-                                       x_weights[ab].ravel())) * g.cell_volume
+        x_ders = spatial_derivatives(g, f)
+        split_nodes(nodes, None if with_y else 1, lambda part: _block_sums(
+            state, spec, sign, x_ders, work, x_terms, norms, part))
+        del x_ders  # free this species' derivatives before the next's
+        for p, terms in enumerate(x_terms):
+            x_total += float(np.sum(terms)) * g.cell_volume
             if with_y:
-                pairs.append((wfs[ab], der.reshape(work.shape[1:])))
-        if with_y:
-            split_nodes(nodes, None, lambda part: _dissipation_norms(
-                pairs, g.velocity, spec.gamma, work, norms, part))
-            del pairs  # free this species' derivatives before the next's
-            for d_norm in norms:
-                y_total += float(np.sum(d_norm**2)) * wx
+                y_total += float(np.sum(norms[p]**2)) * g.spatial.cell_volume
     return x_total, y_total
 
 
@@ -438,11 +492,12 @@ def functional_D_k(state, spec):
 
 
 def energy_dissipation(state, spec, with_d_k=True):
-    """``(E_k, D_k, ||grad phi||^2_{H^3})`` from one transform per species.
+    """``(E_k, D_k, ||grad phi||^2_{H^3})`` from one pass per species.
 
-    ``D_k`` is 0.0 unless ``with_d_k``; its per-node pass splits the spatial
-    nodes over the ``VPLANDAU_THREADS`` threads, with the same result for any
-    count.
+    ``D_k`` is 0.0 unless ``with_d_k``.  With it, the pass that forms both
+    sums splits the spatial nodes over the ``VPLANDAU_THREADS`` threads,
+    with the same bits for any count; without, it runs as one block on the
+    calling thread and starts no thread.
     """
     h3 = h3_grad_norm_sq(state.grid.spatial, state.phi)
     x_k, y_k = _weighted_sums(state, spec, with_d_k)

@@ -391,6 +391,21 @@ amplitude = 1e-4
             "requested_amplitude": 1e-4, "effective_amplitude": 1e-4,
             "halvings": 0}
 
+    def test_summary_reports_the_largest_e_k_growth(self, tmp_path):
+        # max_t E_k(t) / E_k(0), read from the series the run writes
+        from vplandau.diagnostics import read_series_csv
+        from vplandau.experiments import run_experiment
+
+        cfg = parse_config(MINIMAL, {
+            "grid.n_x": "4", "grid.n_v": "8", "time.dt": "0.005",
+            "time.t_final": "0.02", "output.directory": str(tmp_path)})
+        summary, _ = run_experiment(cfg)
+        e_k = read_series_csv(tmp_path / "series.csv")["e_k"]
+        assert e_k.size == 5 and e_k[0] > 0.0
+        assert summary["e_k_max_ratio"] == max(e_k) / e_k[0]
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert on_disk["e_k_max_ratio"] == summary["e_k_max_ratio"]
+
     def test_nonlinear_fit_bug_is_not_swallowed(self, tmp_path, monkeypatch):
         # a FitError (short series) is recorded in the summary; any other
         # exception out of the fits fails the run

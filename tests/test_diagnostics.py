@@ -227,20 +227,30 @@ class TestRecorder:
     @pytest.mark.parametrize("compute_d_k", [True, False])
     def test_one_transform_per_species_and_record(self, small_grid,
                                                   monkeypatch, compute_d_k):
-        # E_k, D_k and the H^3 field norm share one set of mixed
-        # derivatives per species, whether the D_k pass runs on one thread
-        # or on two; on two it starts one pool per species
+        # E_k, D_k and the H^3 field norm share one spatial transform per
+        # species, and each block of nodes walks the 15 index pairs once,
+        # whether the pass runs on one thread or on two; with D_k, two
+        # threads split the 8 nodes into 2 blocks and start one pool per
+        # species, and the E_k-only pass is one block on the calling thread
         spec = weights.WeightSpec("landau", -3.0, 10.0)
         st = make_initial_condition(small_grid, amplitude=1e-4, seed=5)
         moved = transport_step(st, 0.01)
-        calls = []
-        derivatives = weights.mixed_derivatives
+        transforms, walks, pairs = [], [], []
+        spatial = weights.spatial_derivatives
+        walk = weights.mixed_derivatives
 
-        def counted(grid, values, indices):
-            calls.append(values)
-            return derivatives(grid, values, indices)
+        def counted_spatial(grid, values):
+            transforms.append(values)
+            return spatial(grid, values)
 
-        monkeypatch.setattr(weights, "mixed_derivatives", counted)
+        def counted_walk(grid, x_ders, part, work):
+            walks.append(part)
+            for pair, der in walk(grid, x_ders, part, work):
+                pairs.append(pair)
+                yield pair, der
+
+        monkeypatch.setattr(weights, "spatial_derivatives", counted_spatial)
+        monkeypatch.setattr(weights, "mixed_derivatives", counted_walk)
         pools = []
 
         class Counted(ThreadPoolExecutor):
@@ -253,10 +263,15 @@ class TestRecorder:
         for threads in ("1", "2"):
             monkeypatch.setenv("VPLANDAU_THREADS", threads)
             rec = Recorder(spec, st.clone(), compute_d_k=compute_d_k)
-            calls.clear()
-            pools.clear()
+            for seen in (transforms, walks, pairs, pools):
+                seen.clear()
             rec.record_state(moved)
-            assert len(calls) == 2
+            blocks = int(threads) if compute_d_k else 1
+            assert len(transforms) == 2
+            assert transforms[0] is moved.f_plus
+            assert transforms[1] is moved.f_minus
+            assert len(walks) == 2 * blocks
+            assert len(pairs) == 2 * blocks * 15
             assert len(pools) == (2 * (int(threads) - 1) if compute_d_k
                                   else 0)
             d_ks.append(rec.records[-1].d_k)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from vplandau.weights import (
     mixed_derivatives,
     mixed_indices,
     norm_L2k,
+    spatial_derivatives,
     weight_A,
     weight_exponent,
     weight_field,
@@ -308,15 +310,16 @@ class TestFunctionals:
         spec = WeightSpec("landau", -3.0, 10.0)
         st = self._state(small_grid)
         e_k, _, h3 = energy_dissipation(st, spec, with_d_k=False)
-        indices1 = [ab for ab in mixed_indices(small_grid.dim_x)
-                    if sum(ab[0]) + sum(ab[1]) <= 1]
         # recompute with the order-2 shell dropped
         partial = 0.0
         br2 = 1.0 + small_grid.velocity.speed_squared()
+        nodes = [slice(0, small_grid.spatial.n_x)]
         for sign, f in ((+1, st.f_plus), (-1, st.f_minus)):
-            ders = mixed_derivatives(small_grid, f, indices1)
+            ders = _walked_derivatives(small_grid, f, nodes)
             for (al, be), der in ders.items():
                 a, b = sum(al), sum(be)
+                if a + b > 1:
+                    continue
                 wf = weight_field(spec, small_grid.velocity, a, b)
                 ew = np.exp(sign * weight_A(spec, a, b)
                             * st.phi[(...,) + (None,) * 3] / br2)
@@ -369,6 +372,19 @@ def _complex_derivative(grid, values, al, be):
     return sfft.ifftn(hat, norm="forward").real
 
 
+def _walked_derivatives(grid, values, parts):
+    """Every pair's ``d^alpha_beta`` on the whole grid, from one walk of
+    :func:`mixed_derivatives` per block of spatial nodes in ``parts``."""
+    x_ders = spatial_derivatives(grid, values)
+    nodes = math.prod(grid.spatial.shape)
+    work = np.empty((4, nodes) + grid.velocity.shape)
+    out = {}
+    for part in parts:
+        for pair, der in mixed_derivatives(grid, x_ders, part, work[:, part]):
+            out.setdefault(pair, np.empty_like(work[0]))[part] = der
+    return {pair: der.reshape(grid.shape) for pair, der in out.items()}
+
+
 def _oracle_D_norm(values, velocity_grid, gamma):
     """Landau dissipation norm from the vector anisotropic gradient."""
     axes = (-3, -2, -1)
@@ -399,11 +415,9 @@ def _oracle_functionals(state, spec):
     return x_k + h3, y_k + h3
 
 
-@pytest.fixture(scope="module")
-def evolved():
-    """The README run's state after two steps, per collision gamma."""
-    grid = PhaseGrid(SpatialGrid(1, 16), VelocityGrid(16, 8.0))
-    start = make_initial_condition(grid, amplitude=1e-3, seed=1234)
+def _evolve(grid, seed):
+    """The state after two steps of ``dt = 0.005``, per collision gamma."""
+    start = make_initial_condition(grid, amplitude=1e-3, seed=seed)
     out = {}
     for gamma in (-3.0, 0.0):
         tables = landau.build_kernel_tables(gamma, grid.velocity)
@@ -412,83 +426,138 @@ def evolved():
     return out
 
 
+@pytest.fixture(scope="module")
+def evolved():
+    """The README run's state after two steps, per collision gamma."""
+    return _evolve(PhaseGrid(SpatialGrid(1, 16), VelocityGrid(16, 8.0)), 1234)
+
+
+@pytest.fixture(scope="module")
+def evolved_2d():
+    """A 4x4-node, 8^3 state after two steps, per collision gamma: 21
+    index pairs, and spatial derivatives along two axes."""
+    return _evolve(PhaseGrid(SpatialGrid(2, 4), VelocityGrid(8, 8.0)), 5)
+
+
 def _rel(new, ref):
     return abs(new - ref) / abs(ref)
 
 
+def _assert_per_pair_formula(state, spec):
+    # measured 1e-14 (1-D) and 4e-14 (2-D) at gamma = 0, whose states'
+    # tails sit far above the transforms' round-off
+    e_k, d_k, h3 = energy_dissipation(state, spec)
+    e_ref, d_ref = _oracle_functionals(state, spec)
+    assert _rel(e_k, e_ref) <= 1e-12
+    assert _rel(d_k, d_ref) <= 1e-12
+    assert h3 == h3_grad_norm_sq(state.grid.spatial, state.phi)
+    assert functional_E_k(state, spec) == e_k
+    assert functional_D_k(state, spec) == d_k
+    assert energy_dissipation(state, spec, with_d_k=False) == (e_k, 0.0, h3)
+
+
+def _assert_within_round_off_spread(state, spec):
+    # E_k and D_k sit on a round-off floor here (README, Known
+    # limitations): the bound is twice the largest change that a 1e-16
+    # relative perturbation of f+ makes in the per-pair formula
+    e_ref, d_ref = _oracle_functionals(state, spec)
+    spread_e = spread_d = 0.0
+    for seed in range(8):
+        z = np.random.default_rng(seed).standard_normal(state.grid.shape)
+        z *= 1e-16 * np.linalg.norm(state.f_plus) / np.linalg.norm(z)
+        e, d = _oracle_functionals(
+            state.with_fields(state.f_plus + z, state.f_minus), spec)
+        spread_e = max(spread_e, _rel(e, e_ref))
+        spread_d = max(spread_d, _rel(d, d_ref))
+    assert spread_e > 0.0 and spread_d > 0.0
+    e_k, d_k, _ = energy_dissipation(state, spec)
+    assert _rel(e_k, e_ref) <= 2.0 * spread_e
+    assert _rel(d_k, d_ref) <= 2.0 * spread_d
+
+
+def _assert_bit_identical_across_workers(state, spec, monkeypatch):
+    # e_k, d_k and h3 at VPLANDAU_THREADS 1, 2 and 3: the per-node terms
+    # reduce in node order either way; the D_k pass starts one pool per
+    # species, the E_k-only pass none
+    pools = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
+    # a 1 us switch interval interleaves the blocks' threads finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    results = []
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("VPLANDAU_THREADS", threads)
+            results.append(energy_dissipation(state, spec))
+    finally:
+        sys.setswitchinterval(interval)
+    one, two, three = results
+    assert one[1] > 0.0
+    assert [x.hex() for x in one] == [x.hex() for x in two] \
+        == [x.hex() for x in three]
+    assert len(pools) == 4
+    assert energy_dissipation(state, spec, with_d_k=False) \
+        == (one[0], 0.0, one[2])
+    assert len(pools) == 4  # the E_k-only pass starts no thread
+
+
 class TestSharedPass:
     def test_matches_the_per_pair_formula_at_gamma_0(self, evolved):
-        # measured 1e-14; the gamma = 0 state's tails sit far above the
-        # transforms' round-off
-        spec = WeightSpec("landau", 0.0, 10.0)
-        state = evolved[0.0]
-        e_k, d_k, h3 = energy_dissipation(state, spec)
-        e_ref, d_ref = _oracle_functionals(state, spec)
-        assert _rel(e_k, e_ref) <= 1e-12
-        assert _rel(d_k, d_ref) <= 1e-12
-        assert h3 == h3_grad_norm_sq(state.grid.spatial, state.phi)
-        assert functional_E_k(state, spec) == e_k
-        assert functional_D_k(state, spec) == d_k
-        assert energy_dissipation(state, spec, with_d_k=False) == (e_k, 0.0,
-                                                                   h3)
+        _assert_per_pair_formula(evolved[0.0], WeightSpec("landau", 0.0, 10.0))
 
     def test_within_the_round_off_spread_at_gamma_minus_3(self, evolved):
-        # E_k and D_k sit on a round-off floor here (README, Known
-        # limitations): the bound is twice the largest change that a
-        # 1e-16 relative perturbation of f+ makes in the per-pair formula
-        spec = WeightSpec("landau", -3.0, 10.0)
-        state = evolved[-3.0]
-        e_ref, d_ref = _oracle_functionals(state, spec)
-        spread_e = spread_d = 0.0
-        for seed in range(8):
-            z = np.random.default_rng(seed).standard_normal(state.grid.shape)
-            z *= 1e-16 * np.linalg.norm(state.f_plus) / np.linalg.norm(z)
-            e, d = _oracle_functionals(
-                state.with_fields(state.f_plus + z, state.f_minus), spec)
-            spread_e = max(spread_e, _rel(e, e_ref))
-            spread_d = max(spread_d, _rel(d, d_ref))
-        assert spread_e > 0.0 and spread_d > 0.0
-        e_k, d_k, _ = energy_dissipation(state, spec)
-        assert _rel(e_k, e_ref) <= 2.0 * spread_e
-        assert _rel(d_k, d_ref) <= 2.0 * spread_d
+        _assert_within_round_off_spread(evolved[-3.0],
+                                        WeightSpec("landau", -3.0, 10.0))
+
+    def test_two_spatial_dimensions_match_the_per_pair_formula(
+            self, evolved_2d):
+        _assert_per_pair_formula(evolved_2d[0.0],
+                                 WeightSpec("landau", 0.0, 10.0))
 
     def test_bit_identical_across_workers(self, small_grid, monkeypatch):
-        # at VPLANDAU_THREADS 1, 2 and 3 the D_k pass splits the 8 nodes
-        # into 1, 2 and 3 blocks, once per species; the per-node norms
-        # reduce in node order either way
-        pools = []
-
-        class Counted(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(grid_mod, "ThreadPoolExecutor", Counted)
+        # at VPLANDAU_THREADS 1, 2 and 3 the pass splits the 8 nodes into
+        # 1, 2 and 3 blocks, once per species
         monkeypatch.delenv("VPLANDAU_THREADS", raising=False)
         tables = landau.build_kernel_tables(-3.0, small_grid.velocity,
                                             measure=False)
         state = advance(
             make_initial_condition(small_grid, amplitude=1e-3, seed=5),
             0.005, TimeStepConfig(dt=0.005), tables)
+        _assert_bit_identical_across_workers(
+            state, WeightSpec("landau", -3.0, 10.0), monkeypatch)
+
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0])
+    def test_two_spatial_dimensions_bit_identical_across_workers(
+            self, evolved_2d, monkeypatch, gamma):
+        # 16 nodes in 1, 2 and 3 blocks (6, 5 and 5 nodes at 3 threads)
+        _assert_bit_identical_across_workers(
+            evolved_2d[gamma], WeightSpec("landau", gamma, 10.0), monkeypatch)
+
+    @pytest.mark.parametrize("with_d_k", [True, False])
+    def test_peak_memory_of_one_pass(self, small_grid, monkeypatch,
+                                     with_d_k):
+        # a pair-by-pair walk holds the spatial derivatives (2 at dim_x = 1)
+        # and a workspace of 8 arrays shaped like f+ (5 without D_k): 10
+        # such arrays, with room for numpy's temporaries under 16.  A pass
+        # that keeps every pair's derivative on the whole grid holds 15
+        # for them alone, and fails.
+        monkeypatch.setenv("VPLANDAU_THREADS", "1")
+        state = make_initial_condition(small_grid, amplitude=1e-3, seed=5)
         spec = WeightSpec("landau", -3.0, 10.0)
-        # a 1 us switch interval interleaves the blocks' threads finely
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        results = []
+        energy_dissipation(state, spec, with_d_k)  # fill the read-only caches
+        tracemalloc.start()
         try:
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("VPLANDAU_THREADS", threads)
-                results.append(energy_dissipation(state, spec))
+            energy_dissipation(state, spec, with_d_k)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.setswitchinterval(interval)
-        one, two, three = results
-        assert one[1] > 0.0
-        assert [x.hex() for x in one] == [x.hex() for x in two] \
-            == [x.hex() for x in three]
-        assert len(pools) == 4
-        assert energy_dissipation(state, spec, with_d_k=False) \
-            == (one[0], 0.0, one[2])
-        assert len(pools) == 4  # the E_k-only pass starts no thread
+            tracemalloc.stop()
+        assert peak <= 16 * state.f_plus.nbytes
 
     @pytest.mark.parametrize("gamma", [-3.0, 0.0, 1.0])
     def test_closed_form_of_the_anisotropic_gradient(self, small_grid, rng,
@@ -502,15 +571,25 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("dim_x", [1, 2])
     def test_real_transforms_match_complex_ones(self, rng, dim_x):
+        # the spatial derivatives on the whole grid, the velocity ones per
+        # block of nodes: two blocks give the bits of one
         g = PhaseGrid(SpatialGrid(dim_x, 8), VelocityGrid(8, 6.0))
         f = rng.standard_normal(g.shape)
-        ders = mixed_derivatives(g, f, mixed_indices(dim_x))
+        nodes = 8**dim_x
+        ders = _walked_derivatives(g, f, [slice(0, nodes)])
         assert len(ders) == len(mixed_indices(dim_x))
         for (al, be), der in ders.items():
             want = _complex_derivative(g, f, al, be)
             assert np.max(np.abs(der - want)) <= 1e-13 * np.max(np.abs(want))
+        halves = _walked_derivatives(g, f, [slice(0, 3), slice(3, nodes)])
+        assert all(np.array_equal(halves[ab], der) for ab, der in ders.items())
         zero = ((0,) * dim_x, (0, 0, 0))
-        assert ders[zero] is f
+        x_ders = spatial_derivatives(g, f)
+        first, der = next(mixed_derivatives(g, x_ders, slice(0, nodes),
+                                            np.empty((4, nodes, 8, 8, 8))))
+        assert first == zero
+        assert np.shares_memory(der, f) and np.array_equal(
+            der, f.reshape(der.shape))
 
     @pytest.mark.parametrize("dim_x, pairs", [(1, 15), (2, 21), (3, 28)])
     def test_mixed_index_order(self, dim_x, pairs):
