@@ -270,8 +270,10 @@ def fit_decay(times, values, mode, window=None, transient_fraction=0.1):
 
 @dataclass
 class LinearizedResult:
-    fit_exponential: DecayFit      # fits of the recorded microscopic energy
-    fit_polynomial: DecayFit       # ||(I-P) f||^2 (the experiment's E)
+    # fits of the recorded microscopic energy ||(I-P) f||^2 (the
+    # experiment's E); the FitError instead where the series cannot be fitted
+    fit_exponential: DecayFit | FitError
+    fit_polynomial: DecayFit | FitError
     times: np.ndarray
     micro_norms: np.ndarray  # ||(I-P) f||
     macro_norms: np.ndarray  # ||P f||
@@ -292,7 +294,9 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
     algebraic) of ``||(I-P) f||^2`` over the post-transient window, the
     recorded series, ``E_k`` included, and the largest relative drift of the
     linearized system's invariants (species masses, momentum and kinetic
-    energy; see :func:`check_conservation`).
+    energy; see :func:`check_conservation`).  A fit that raises
+    :class:`~vplandau.errors.FitError` (too short a series, say) is returned
+    in place of its result, so the series are never lost.
     """
     from . import dynamics
 
@@ -324,12 +328,15 @@ def linearized_decay_experiment(initial_state, tables, spec, dt, t_final,
     report = check_conservation(final, state, linearized=True)
     t = np.array(times)
     micro_energy = np.array(micro) ** 2
-    fit_exp = fit_decay(t, micro_energy, "exponential",
-                        transient_fraction=transient_fraction)
-    fit_poly = fit_decay(t, micro_energy, "polynomial",
-                         transient_fraction=transient_fraction)
+    fits = []
+    for mode in ("exponential", "polynomial"):
+        try:
+            fits.append(fit_decay(t, micro_energy, mode,
+                                  transient_fraction=transient_fraction))
+        except FitError as exc:
+            fits.append(exc)
     return LinearizedResult(
-        fit_exponential=fit_exp, fit_polynomial=fit_poly, times=t,
+        fit_exponential=fits[0], fit_polynomial=fits[1], times=t,
         micro_norms=np.array(micro), macro_norms=np.array(macro),
         e_k_series=np.array(eks),
         conservation_max_drift=report.max_relative_drift())

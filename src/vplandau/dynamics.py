@@ -196,15 +196,14 @@ def _linearized_field_step(state, dt):
     return state.with_fields(new_p, new_m)
 
 
-def _rk4_pair(rhs, fp, fm, dt):
-    # rhs returns fresh arrays, so k1's arrays take the sum
-    # k1 + 2 k2 + 2 k3 + k4, added in that order
-    k = total = rhs(fp, fm)
+def _rk4(rhs, f, dt):
+    # rhs returns a fresh array, so k1's takes the sum k1 + 2 k2 + 2 k3 +
+    # k4, added in that order
+    k = total = rhs(f)
     for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        k = rhs(fp + c * dt * k[0], fm + c * dt * k[1])
-        for t, ks in zip(total, k):
-            t += w * ks
-    return fp + dt / 6.0 * total[0], fm + dt / 6.0 * total[1]
+        k = rhs(f + c * dt * k)
+        total += w * k
+    return f + dt / 6.0 * total
 
 
 def _chebyshev(j, x, order=0):
@@ -246,8 +245,8 @@ def rkc_coefficients(s):
     return mu_t1, stages
 
 
-def rkc_step_pair(rhs, fp, fm, dt, s):
-    """One second-order RKC step with ``s`` stages on a species pair.
+def rkc_step(rhs, f, dt, s):
+    """One second-order RKC step with ``s`` stages of ``f' = rhs(f)``.
 
     Used as the inner integrator of the frozen-coefficient (Picard)
     collision solve, where the stiff part of the collision operator makes
@@ -255,18 +254,13 @@ def rkc_step_pair(rhs, fp, fm, dt, s):
     spectrum interval ~0.65 s^2 per step at s right-hand-side evaluations.
     """
     mu_t1, stages = rkc_coefficients(s)
-    f0 = rhs(fp, fm)
-    y_prev = (fp, fm)
-    y_cur = (fp + mu_t1 * dt * f0[0], fm + mu_t1 * dt * f0[1])
+    f0 = rhs(f)
+    y_prev, y_cur = f, f + mu_t1 * dt * f0
     for (mu_j, nu_j, mu_tj, gamma_tj) in stages:
-        f_cur = rhs(y_cur[0], y_cur[1])
-        nxt = tuple(
-            (1.0 - mu_j - nu_j) * base + mu_j * cur + nu_j * prev
-            + mu_tj * dt * fc + gamma_tj * dt * f0c
-            for base, cur, prev, fc, f0c in zip(
-                (fp, fm), y_cur, y_prev, f_cur, f0)
-        )
-        y_prev, y_cur = y_cur, nxt
+        f_cur = rhs(y_cur)
+        y_prev, y_cur = y_cur, (
+            (1.0 - mu_j - nu_j) * f + mu_j * y_cur + nu_j * y_prev
+            + mu_tj * dt * f_cur + gamma_tj * dt * f0)
     return y_cur
 
 
@@ -331,8 +325,8 @@ def collision_step(state, dt, cfg, tables, corrector=None):
     Either way each spatial node is its own ODE, so one integration splits
     the nodes once over ``cfg.workers`` threads, or the ``VPLANDAU_THREADS``
     ones when it is ``None`` (:func:`grid.split_nodes`), and each block
-    integrates its nodes; the finiteness check and the Picard norm run on
-    the joined arrays.
+    integrates its nodes as one ``(2, nodes, n_v, n_v, n_v)`` pair; the
+    finiteness check and the Picard norm run on the joined species.
     """
     if not cfg.conservative_correction:
         corrector = None
@@ -352,17 +346,21 @@ def collision_step(state, dt, cfg, tables, corrector=None):
         # frozen_at: f+ + f- of the previous Picard iterate, or None to
         # freeze each stage at its own f+ + f-
         def block(part):
-            fp, fm = (nodes(f)[part] for f in (state.f_plus, state.f_minus))
+            # stacked per block: whole-grid stacks (4 MiB at 8x32^3) slowed
+            # the diagnostics record that follows, likely through glibc's
+            # adaptive mmap threshold
+            f = np.stack([nodes(state.f_plus)[part],
+                          nodes(state.f_minus)[part]])
             if frozen_at is None:
-                def rhs(a, b):
+                def rhs(g):
                     return landau.frozen_collision(
-                        tables, a + b, cfg.linearized, corrector)(a, b)
+                        tables, g[0] + g[1], cfg.linearized, corrector)(g)
             else:
                 rhs = landau.frozen_collision(
                     tables, nodes(frozen_at)[part], corrector=corrector)
             if stages:
-                return rkc_step_pair(rhs, fp, fm, dt, stages)
-            return _rk4_pair(rhs, fp, fm, dt)
+                return rkc_step(rhs, f, dt, stages)
+            return _rk4(rhs, f, dt)
 
         blocks = split_nodes(len(nodes(state.f_plus)), cfg.workers, block)
         out = [np.concatenate(f).reshape(shape) for f in zip(*blocks)]

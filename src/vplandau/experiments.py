@@ -203,17 +203,22 @@ def linearized_run(cfg):
         for row in zip(result.times, result.micro_norms, result.macro_norms,
                        result.e_k_series):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    # a series too short to fit is reported, as nonlinear_run reports it
+    exp, poly = ({"error": str(fit)} if isinstance(fit, FitError)
+                 else asdict(fit)
+                 for fit in (result.fit_exponential, result.fit_polynomial))
+    fitted = "error" not in exp and "error" not in poly
     # decay is read from the fitted envelope: on locally Maxwellian data the
     # first ||(I-P) f||^2 is round-off, so first against last says nothing
     flags = {
         "conservation": result.conservation_max_drift <= LINEARIZED_DRIFT_TOL,
-        "decayed": bool(result.fit_exponential.rate > 0),
+        "decayed": fitted and exp["rate"] > 0,
     }
     body = {
-        "fit_exponential": asdict(result.fit_exponential),
-        "fit_polynomial": asdict(result.fit_polynomial),
-        "subexponential": result.fit_polynomial.r_squared
-        > result.fit_exponential.r_squared,
+        "fit_exponential": exp,
+        "fit_polynomial": poly,
+        "subexponential": (poly["r_squared"] > exp["r_squared"]
+                           if fitted else None),
         "conservation_max_drift": result.conservation_max_drift,
         "flags": flags,
         "positivity_rescue": rescue,

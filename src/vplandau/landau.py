@@ -28,7 +28,11 @@ The collision right-hand side of the perturbation system,
 ``Q(S, mu) + Q(2 mu + S, f_pm)`` with ``S = f+ + f-``, is assembled only in
 :func:`frozen_collision`, which freezes the first argument at a given ``S``;
 :func:`apply_collision_field`, :func:`apply_linearized_collision` and the
-collision substeps of :mod:`vplandau.dynamics` all go through it.
+collision substeps of :mod:`vplandau.dynamics` all go through it.  Two data
+sets travel as one array each: the species pair ``f`` as ``(2, nodes, n_v,
+n_v, n_v)``, which the collision right-hand side and the corrector take and
+return, and the nine kernel convolutions of a field as ``(9, ...)``, which
+:func:`convolve_tables` returns and the flux assembly indexes.
 
 The operator acts in ``v`` alone, so threads split the spatial nodes into
 blocks, through :func:`vplandau.grid.split_nodes`, which reads
@@ -275,16 +279,17 @@ class LandauKernelTables:
     holds frequency ``q = 0..n`` (the cos part of the basis) and index
     ``n + 1..2n - 1`` holds ``q = 1..n - 1`` (the sin part).  Construction
     also computes, once, the nine kernel convolutions of the reference
-    Maxwellian ``mu`` (``mu_conv``, as ``(phi_conv, deriv_conv)``) and its
-    three velocity derivatives (``mu_derivs``).  These arrays and ``kappa``
-    are read-only: kernel data are immutable after construction and
-    shareable across threads; ``_rho_estimate`` is a lazy cache.
+    Maxwellian ``mu`` (``mu_conv``, one ``(9, n_v, n_v, n_v)`` array in the
+    order of ``kappa``) and its three velocity derivatives (``mu_derivs``).
+    These arrays and ``kappa`` are read-only: kernel data are immutable
+    after construction and shareable across threads; ``_rho_estimate`` is a
+    lazy cache.
     """
 
     gamma: float
     velocity_grid: object
     kappa: np.ndarray
-    mu_conv: tuple = field(init=False, repr=False)
+    mu_conv: np.ndarray = field(init=False, repr=False)
     mu_derivs: tuple = field(init=False, repr=False)
     epsilon_op: float | None = None
     _rho_estimate: float | None = field(default=None, repr=False)
@@ -292,8 +297,7 @@ class LandauKernelTables:
     def __post_init__(self):
         ve = self.velocity_grid
         mu = maxwellian(ve)
-        self.mu_conv = tuple(tuple(_read_only(c) for c in part) for part
-                             in convolve_tables(self, mu, 1))
+        self.mu_conv = _read_only(convolve_tables(self, mu, 1))
         self.mu_derivs = tuple(_read_only(_v_derivative(ve, mu, j))
                                for j in range(3))
 
@@ -312,7 +316,7 @@ class LandauKernelTables:
     def measure_epsilon_op(self):
         """Equilibrium residual ||Q(mu, mu)|| / ||mu||, measured not assumed."""
         mu = maxwellian(self.velocity_grid)
-        q = q_from_convolutions(self, *self.mu_conv, mu)
+        q = q_from_convolutions(self, self.mu_conv, mu)
         w = self.velocity_grid.node_weight
         num = math.sqrt(float(np.sum(q**2)) * w)
         den = math.sqrt(float(np.sum(mu**2)) * w)
@@ -429,9 +433,10 @@ def convolve_tables(tables, g, workers=None):
     """All nine kernel convolutions of ``g``, by real matrix products.
 
     ``g`` may carry leading (spatial) axes; the convolution acts on the
-    trailing three velocity axes.  Returns (phi_conv, deriv_conv): lists of
-    arrays shaped like ``g``, scaled by the quadrature weight so that each
-    entry approximates ``integral kernel(v - v') g(v') dv'``.
+    trailing three velocity axes.  Returns one array of shape ``(9,) +
+    g.shape``, the kernels in the order of ``tables.kappa`` (phi^{ij}, then
+    D_i), scaled by the quadrature weight so that each entry approximates
+    ``integral kernel(v - v') g(v') dv'``.
 
     The zero-padded circular convolution on the doubled box is diagonal in
     its Fourier basis; a kernel's parity folds the frequencies ``q`` and
@@ -448,36 +453,39 @@ def convolve_tables(tables, g, workers=None):
     out = np.empty((len(tables.kappa), len(nodes)) + (n,) * 3)
     split_nodes(len(nodes), workers, lambda part: _convolve_nodes(
         tables, nodes, out, part, _scratch(n)))
-    out = out.reshape((len(tables.kappa),) + g.shape)
-    return list(out[:6]), list(out[6:])
+    return out.reshape((len(tables.kappa),) + g.shape)
 
 
 _v_derivative = v_derivative_trailing
 
 
-def _flux(phi_conv, deriv_conv, f, df, i, out, tmp):
+def _flux(conv, f, df, i, out, tmp):
     """Flux ``i`` of Q(g, f) into ``out``: sum_j (phi^{ij} * g) d_j f -
-    (D_i * g) f; ``tmp`` takes one product at a time."""
-    np.negative(np.multiply(deriv_conv[i], f, out=out), out=out)
+    (D_i * g) f, with ``conv`` the nine convolutions of ``g``; ``tmp`` takes
+    one product at a time."""
+    np.negative(np.multiply(conv[6 + i], f, out=out), out=out)
     for j in range(3):
-        out += np.multiply(phi_conv[_PAIR_INDEX[i, j]], df[j], out=tmp)
+        out += np.multiply(conv[_PAIR_INDEX[i, j]], df[j], out=tmp)
     return out
 
 
-def q_from_convolutions(tables, phi_conv, deriv_conv, f, add_flux=None):
+def q_from_convolutions(tables, conv, f, add_flux=None):
     """Assemble Q given precomputed convolutions of the first argument.
 
-    flux_i = sum_j (phi^{ij} * g) d_j f  -  (D_i * g) f, with the tables
-    storing D_i = d_j phi^{ij} = -2 |u|^gamma u_i, then Q = d_i flux_i.
-    ``add_flux`` may supply three fluxes (broadcasting against ``f``) added
-    before the divergence, which then yields the sum of both operators.
+    ``conv`` holds the nine convolutions of ``g`` as :func:`convolve_tables`
+    returns them, each broadcasting against ``f``.  flux_i = sum_j (phi^{ij}
+    * g) d_j f  -  (D_i * g) f, with the tables storing D_i = d_j phi^{ij} =
+    -2 |u|^gamma u_i, then Q = d_i flux_i.  ``add_flux`` may supply three
+    fluxes (broadcasting against ``f``) added before the divergence, which
+    then yields the sum of both operators.  Allocates six arrays shaped
+    like ``f``, the output among them.
     """
     ve = tables.velocity_grid
     *df, flux, tmp, out = [np.empty(f.shape) for _ in range(6)]
     for j in range(3):
         _v_derivative(ve, f, j, out=df[j])
     for i in range(3):
-        _flux(phi_conv, deriv_conv, f, df, i, flux, tmp)
+        _flux(conv, f, df, i, flux, tmp)
         if add_flux is not None:
             flux += add_flux[i]
         if i == 0:
@@ -507,8 +515,7 @@ def q_landau_fft(g, f, tables):
             f"velocity shapes {g.shape} / {f.shape} do not match grid "
             f"{tables.velocity_grid.shape}"
         )
-    phi_conv, deriv_conv = convolve_tables(tables, g)
-    return q_from_convolutions(tables, phi_conv, deriv_conv, f)
+    return q_from_convolutions(tables, convolve_tables(tables, g), f)
 
 
 # ---- direct-quadrature oracle -----------------------------------------------
@@ -591,18 +598,16 @@ class ConservativeCorrector:
         # gram[m, k]: the m-th invariant moment of the k-th basis field
         self.gram_inv = np.linalg.inv(invariant_moments(ve, self.basis))
 
-    def apply(self, rhs_plus, rhs_minus):
-        """The corrected pair, in fresh arrays."""
+    def apply(self, q):
+        """Correct the species pair ``q``, shaped ``(2, ...)``, in place."""
         ve = self.velocity_grid
-        defect = (invariant_moments(ve, rhs_plus)
-                  + invariant_moments(ve, rhs_minus))
-        target = 0.5 * defect
+        target = 0.5 * (invariant_moments(ve, q[0])
+                        + invariant_moments(ve, q[1]))
         target[0] = 0.0  # keep per-species mass untouched (already exact)
         alpha = np.tensordot(self.gram_inv, target, axes=(1, 0))
         # contract the basis index; spatial axes (if any) land ahead of the
         # velocity axes, matching the field layout
-        corr = np.tensordot(alpha, self.basis, axes=(0, 0))
-        return rhs_plus - corr, rhs_minus - corr
+        q -= np.tensordot(alpha, self.basis, axes=(0, 0))
 
 
 # ---- assembled collision right-hand side -------------------------------------
@@ -616,44 +621,37 @@ def mu_convolutions(tables):
 def frozen_collision(tables, s, linearized=False, corrector=None):
     """Collision right-hand side with its first argument frozen at ``s``.
 
-    Convolves ``s`` once and returns the closure
-    ``rhs(f+, f-) = Q(s, mu) + Q(2 mu + s, f_pm)`` (the convolution is linear
-    in its first argument, and the tables hold the Maxwellian's), with
-    ``f_pm`` shaped like ``s``.  With ``linearized=True`` the closure is
-    ``Q(s, mu) + Q(2 mu, f_pm)``, the linearized operator when ``s = f+ +
-    f-``.  The fluxes of ``Q(s, mu)`` are built once, from the tables'
-    Maxwellian derivatives, and added to the ``f_pm`` fluxes, so each call
-    takes a single divergence.  A ``corrector`` is applied to every output.
-    This is the only place the collision right-hand side is assembled; it
-    runs on the calling thread, since its callers already split the nodes.
+    ``s`` holds velocity fields on a leading axis of spatial nodes.
+    Convolves ``s`` once and returns the closure ``rhs(f) = Q(s, mu) + Q(2 mu
+    + s, f)`` (the convolution is linear in its first argument, and the
+    tables hold the Maxwellian's) on the species pair ``f``, shaped ``(2,) +
+    s.shape``; it returns the pair in a fresh array of that shape.  With
+    ``linearized=True`` the closure is ``Q(s, mu) + Q(2 mu, f)``, the
+    linearized operator when ``s = f+ + f-``.  The fluxes of ``Q(s, mu)``
+    are built once, from the tables' Maxwellian derivatives, and added to
+    the pair's fluxes, so each call takes a single divergence.  A
+    ``corrector`` corrects every output in place.  This is the only place
+    the collision right-hand side is assembled; it runs on the calling
+    thread, since its callers already split the nodes.
     """
-    ve = tables.velocity_grid
-    mu = maxwellian(ve)
-    phi_s, der_s = convolve_tables(tables, s, 1)
-    conv = [c.reshape((-1,) + ve.shape) for c in phi_s + der_s]
-    dmu = tables.mu_derivs
-    flux_s_mu = np.empty((3,) + conv[0].shape)
-    tmp = np.empty(conv[0].shape)
+    mu = maxwellian(tables.velocity_grid)
+    conv = convolve_tables(tables, s, 1)
+    flux_s_mu = np.empty((3,) + s.shape)
+    tmp = np.empty(s.shape)
     for i in range(3):
-        _flux(conv[:6], conv[6:], mu, dmu, i, flux_s_mu[i], tmp)
-    # convolutions of the first argument of Q(., f_pm): 2 mu, or 2 mu + s
+        _flux(conv, mu, tables.mu_derivs, i, flux_s_mu[i], tmp)
+    # convolutions of the first argument of Q(., f): 2 mu, or 2 mu + s
     # built in place on the fresh s convolutions
-    phi_m, der_m = tables.mu_conv
-    two_mu = [2.0 * m for m in phi_m + der_m]
     if linearized:
-        conv = two_mu
+        conv = 2.0 * tables.mu_conv
     else:
-        for c, m in zip(conv, two_mu):
-            c += m
+        conv += 2.0 * tables.mu_conv[:, None]
 
-    def rhs(f_plus, f_minus):
-        f = np.stack([f_plus, f_minus]).reshape((2, -1) + ve.shape)
-        q = q_from_convolutions(tables, conv[:6], conv[6:], f,
-                                add_flux=flux_s_mu)
+    def rhs(f):
+        q = q_from_convolutions(tables, conv, f, add_flux=flux_s_mu)
         if corrector is not None:
-            q = corrector.apply(q[0], q[1])
-        return q[0].reshape(np.shape(f_plus)), q[1].reshape(
-            np.shape(f_minus))
+            corrector.apply(q)
+        return q
 
     return rhs
 
@@ -664,9 +662,10 @@ def apply_collision_field(state, tables, conservative=True, corrector=None,
 
     ``Q(f+ + f-, mu) + Q(2 mu + f+ + f-, f_pm)`` at every spatial node, the
     nodes split over ``workers`` threads, ``VPLANDAU_THREADS`` when ``None``
-    (:func:`split_nodes`).  With
+    (:func:`split_nodes`), each block stacking its pair.  With
     ``conservative=True`` the moment-matched correction is applied so the
-    discrete invariants of the assembled output vanish exactly.
+    discrete invariants of the assembled output vanish exactly.  Returns the
+    pair ``(rhs_plus, rhs_minus)``.
     """
     ve = state.grid.velocity
     if tables.velocity_grid.shape != ve.shape:
@@ -679,8 +678,8 @@ def apply_collision_field(state, tables, conservative=True, corrector=None,
                                                       state.f_minus))
 
     def block(part):
-        return frozen_collision(tables, fp[part] + fm[part],
-                                corrector=corrector)(fp[part], fm[part])
+        f = np.stack([fp[part], fm[part]])
+        return frozen_collision(tables, f[0] + f[1], corrector=corrector)(f)
 
     blocks = split_nodes(len(fp), workers, block)
     return tuple(np.concatenate(q).reshape(state.f_plus.shape)
@@ -688,6 +687,11 @@ def apply_collision_field(state, tables, conservative=True, corrector=None,
 
 
 def apply_linearized_collision(f_plus, f_minus, tables):
-    """Linearized collision operator L f = Q(f+ + f-, mu) + 2 Q(mu, f_pm)."""
-    rhs = frozen_collision(tables, f_plus + f_minus, linearized=True)
-    return rhs(f_plus, f_minus)
+    """Linearized collision operator L f = Q(f+ + f-, mu) + 2 Q(mu, f_pm).
+
+    Returns the pair as one array of shape ``(2,) + f_plus.shape``.
+    """
+    f = np.stack([f_plus, f_minus])
+    nodes = f.reshape((2, -1) + tables.velocity_grid.shape)
+    q = frozen_collision(tables, nodes[0] + nodes[1], linearized=True)(nodes)
+    return q.reshape(f.shape)

@@ -497,6 +497,32 @@ mode = linearized
         assert summary["fit_exponential"]["rate"] < 0.0
         assert not summary["flags"]["decayed"] and not passed
 
+    def test_linearized_short_run_keeps_its_outputs(self, tmp_path):
+        # 20 steps leave 19 samples in the fit window: the fit error is
+        # reported, the series and the summary are written, and the run
+        # fails on flags.decayed (exit 1), not on an exception (exit 2)
+        from vplandau import cli
+        from vplandau.diagnostics import read_series_csv
+
+        ini = tmp_path / "lin.ini"
+        ini.write_text(
+            self.LINEARIZED.replace("n_v = 8", "n_v = 16")
+            .replace("dt = 0.01", "dt = 0.05")
+            .replace("t_final = 0.3", "t_final = 1.0")
+            + f"[output]\ndirectory = {tmp_path}\n"
+            + "[initial]\nmodes = 0\nprofile = weighted_maxwellian\n")
+        with pytest.warns(RuntimeWarning, match="halving"):
+            assert cli.main(["linearized", str(ini)]) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for fit in ("fit_exponential", "fit_polynomial"):
+            assert summary[fit] == {
+                "error": "need >= 20 samples in window, got 19"}
+        assert summary["subexponential"] is None
+        assert summary["flags"]["decayed"] is False
+        assert summary["flags"]["conservation"] and not summary["passed"]
+        series = read_series_csv(tmp_path / "series.csv")
+        assert series["micro_norm"].size == 21
+
     def test_summary_reports_the_positivity_rescue(self, tmp_path):
         # criterion 7's data: the weighted profile needs six halvings
         from vplandau.experiments import run_experiment

@@ -15,12 +15,12 @@ from vplandau.dynamics import (
     _field_rhs,
     _field_source,
     _linearized_field_step,
-    _rk4_pair,
+    _rk4,
     advance,
     collision_step,
     field_step,
     rkc_real_stability,
-    rkc_step_pair,
+    rkc_step,
     transport_step,
 )
 from vplandau.errors import PicardConvergenceError
@@ -184,15 +184,16 @@ class TestFieldStep:
         g = st.grid
         src = _field_source(g, grad_phi)
 
-        def rhs(fp, fm):
-            return _field_rhs(g, grad_phi, fp, fm, src)
+        def rhs(f):
+            return np.stack(_field_rhs(g, grad_phi, f[0], f[1], src))
 
         for dt in (0.025, 0.1):
             out = field_step(st, dt, grad_phi=grad_phi)
-            fp, fm = st.f_plus, st.f_minus
+            f = np.stack([st.f_plus, st.f_minus])
             n = 256
             for _ in range(n):
-                fp, fm = _rk4_pair(rhs, fp, fm, dt / n)
+                f = _rk4(rhs, f, dt / n)
+            fp, fm = f
             for before, exact, ref in ((st.f_plus, out.f_plus, fp),
                                        (st.f_minus, out.f_minus, fm)):
                 increment = l2_norm(g, ref - before)
@@ -381,6 +382,38 @@ class TestWorkers:
         assert all(np.array_equal(a, b) for a, b in zip(one, three))
         assert one[0].shape == st.f_plus.shape
 
+    @pytest.fixture
+    def square(self):
+        # dim_x = 2: a block flattens its share of the 4 x 4 nodes to one
+        # axis; three workers make blocks of 6, 5 and 5 nodes
+        grid = PhaseGrid(SpatialGrid(2, 4), VelocityGrid(8, 4.0))
+        st = make_initial_condition(grid, amplitude=1e-3, seed=9)
+        tables = landau.build_kernel_tables(-3.0, grid.velocity,
+                                            measure=False)
+        return st, tables
+
+    @SCHEMES
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_two_dimensional_blocks(self, square, scheme, dt, linearized):
+        st, tables = square
+        one, three = (self.on_short_switch_interval(lambda: collision_step(
+            st, dt, TimeStepConfig(dt=dt, scheme=scheme,
+                                   linearized=linearized, workers=w),
+            tables)[0]) for w in (1, 3))
+        assert one.f_plus.tobytes().hex() == three.f_plus.tobytes().hex()
+        assert one.f_minus.tobytes().hex() == three.f_minus.tobytes().hex()
+
+    def test_two_dimensional_blocks_collision_field(self, square):
+        st, tables = square
+        corrector = landau.ConservativeCorrector(st.grid.velocity)
+        one, three = (self.on_short_switch_interval(
+            lambda: landau.apply_collision_field(
+                st, tables, corrector=corrector, workers=w))
+            for w in (1, 3))
+        assert [q.tobytes().hex() for q in one] == [
+            q.tobytes().hex() for q in three]
+        assert one[0].shape == st.f_plus.shape
+
     @SCHEMES
     def test_one_fork_join_per_integration(self, state, scheme, dt,
                                            monkeypatch):
@@ -530,25 +563,23 @@ class TestRKC:
             beta = rkc_real_stability(s)
             zs = np.linspace(-beta, -1e-9, 200)
             for z in zs[:: max(1, len(zs) // 50)]:
-                def rhs(a, b):
-                    return (z * a, z * b)
+                def rhs(f):
+                    return z * f
 
-                up, _ = rkc_step_pair(rhs, np.array(1.0), np.array(1.0),
-                                      1.0, s)
+                up = rkc_step(rhs, np.array(1.0), 1.0, s)
                 assert abs(float(up)) <= 1.0 + 1e-9
 
     def test_second_order_accuracy(self):
         z = -0.3
 
-        def rhs(a, b):
-            return (z * a, z * b)
+        def rhs(f):
+            return z * f
 
         errs = []
         for dt in (0.1, 0.05):
             up = np.array(1.0)
-            um = np.array(1.0)
             for _ in range(int(round(0.4 / dt))):
-                up, um = rkc_step_pair(rhs, up, um, dt, 5)
+                up = rkc_step(rhs, up, dt, 5)
             errs.append(abs(float(up) - math.exp(z * 0.4)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.8

@@ -119,16 +119,14 @@ class TestKernelTables:
         tables = build_kernel_tables(0.0, ve, measure=False)
         assert tables.kappa.shape == (9, 16, 16, 16)
         assert tables.kappa.dtype == np.float64
-        phi_mu, der_mu = tables.mu_conv
-        assert (len(phi_mu), len(der_mu), len(tables.mu_derivs)) == (6, 3, 3)
-        for data in (tables.kappa, *phi_mu, *der_mu, *tables.mu_derivs):
+        assert tables.mu_conv.shape == (9,) + ve.shape
+        assert len(tables.mu_derivs) == 3
+        for data in (tables.kappa, tables.mu_conv, *tables.mu_derivs):
             assert not data.flags.writeable
             with pytest.raises(ValueError):
                 data[0, 0, 0] = 1.0
         mu = maxwellian(ve)
-        want = convolve_tables(tables, mu)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(phi_mu + der_mu, want[0] + want[1]))
+        assert np.array_equal(tables.mu_conv, convolve_tables(tables, mu))
         assert all(np.array_equal(d, landau._v_derivative(ve, mu, j))
                    for j, d in enumerate(tables.mu_derivs))
         assert landau.mu_convolutions(tables) is tables.mu_conv
@@ -253,10 +251,10 @@ class TestConvolution:
         for ve in (VelocityGrid(8, 6.0), VelocityGrid(16, 8.0)):
             tables = build_kernel_tables(gamma, ve, measure=False)
             g = rng.standard_normal(leading + ve.shape)
-            phi_conv, deriv_conv = convolve_tables(tables, g)
+            conv = convolve_tables(tables, g)
             ref = padded_reference(tables, g)
-            for got, want in zip(phi_conv + deriv_conv, ref):
-                assert got.shape == g.shape
+            assert conv.shape == (9,) + g.shape
+            for got, want in zip(conv, ref):
                 assert (np.max(np.abs(got - want))
                         <= 1e-13 * np.max(np.abs(want)))
 
@@ -266,8 +264,7 @@ class TestConvolution:
         g = rng.standard_normal((4,) + ve.shape)
         one = convolve_tables(tables, g, workers=1)
         two = convolve_tables(tables, g, workers=2)
-        for a, b in zip(one[0] + one[1], two[0] + two[1]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(one, two)
 
     def test_more_threads_than_cores_bit_identical(self, rng):
         # three threads (two nodes each) on a short switch interval write
@@ -282,8 +279,7 @@ class TestConvolution:
             many = convolve_tables(tables, g, workers=8)
         finally:
             sys.setswitchinterval(interval)
-        for a, b in zip(one[0] + one[1], many[0] + many[1]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(one, many)
 
     def test_peak_memory_a_few_padded_products(self, rng):
         ve = VelocityGrid(16, 8.0)
@@ -505,7 +501,7 @@ class TestFrozenCollision:
         monkeypatch.setattr(landau, "_v_derivative", counted)
         rhs = landau.frozen_collision(tables, s)
         assert calls == []
-        rhs(fp, fm)
+        rhs(np.stack([fp, fm]))
         # d_j f for the stacked pair, then one divergence of the summed flux
         assert calls == [0, 1, 2, 0, 1, 2]
 
@@ -513,12 +509,31 @@ class TestFrozenCollision:
         # Q(s, mu) + Q(2 mu + s, f_pm), each assembled on its own
         tables, s, fp, fm = setup
         mu = maxwellian(tables.velocity_grid)
-        rp, rm = landau.frozen_collision(tables, s)(fp, fm)
+        rp, rm = landau.frozen_collision(tables, s)(np.stack([fp, fm]))
         q_s_mu = q_landau_fft(s, np.broadcast_to(mu, s.shape), tables)
         for got, f in ((rp, fp), (rm, fm)):
             want = q_s_mu + q_landau_fft(2.0 * mu + s, f, tables)
             assert (np.linalg.norm(got - want)
                     <= 1e-13 * np.linalg.norm(want))
+
+    def test_peak_memory_six_pair_buffers(self, rng):
+        # one call of the closure allocates q_from_convolutions' six
+        # pair-sized buffers (three derivatives, flux, product, output) and
+        # no copy of the pair
+        ve = VelocityGrid(16, 8.0)
+        tables = build_kernel_tables(-3.0, ve, measure=False)
+        s = rng.standard_normal((8,) + ve.shape)
+        f = rng.standard_normal((2,) + s.shape)
+        rhs = landau.frozen_collision(
+            tables, s, corrector=ConservativeCorrector(ve))
+        rhs(f)  # warm up
+        tracemalloc.start()
+        try:
+            rhs(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 6 * f.nbytes
 
     def test_threads_take_no_more_memory(self, rng):
         # the blocks of apply_collision_field together allocate what the

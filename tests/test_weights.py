@@ -619,10 +619,8 @@ ve = VelocityGrid(32, 8.0)
 f = np.random.default_rng(3).standard_normal((2, 8) + ve.shape)
 for a in range(3):
     h.update(v_derivative_trailing(ve, f, a).tobytes())
-phi_conv, deriv_conv = landau.convolve_tables(
-    landau.build_kernel_tables(-3.0, ve, measure=False), f[0])
-for c in phi_conv + deriv_conv:
-    h.update(c.tobytes())
+h.update(landau.convolve_tables(
+    landau.build_kernel_tables(-3.0, ve, measure=False), f[0]).tobytes())
 grid = PhaseGrid(SpatialGrid(1, 8), VelocityGrid(16, 8.0))
 tables = landau.build_kernel_tables(-3.0, grid.velocity, measure=False)
 state = advance(make_initial_condition(grid, amplitude=1e-3, seed=7), 0.02,
